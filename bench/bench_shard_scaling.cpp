@@ -2,10 +2,12 @@
 //
 // Shard-scaling benchmark: throughput of the sharded runtime versus the
 // single-threaded engine over shard counts {1, 2, 4, 8}, for both routing
-// modes, on DS1/Q1 and the Google-trace churn query. Each row reports the
-// parallel run, the same plan replayed sequentially (RunSequential —
-// isolates queue/merge overhead from parallel speedup), and the match
-// count so exactness regressions are visible in the numbers themselves.
+// modes, on DS1/Q1 and the Google-trace churn query (its 1 h window, and a
+// 1 ms window under which routing costs as much as the engine step). Each
+// row reports the parallel run, the same plan replayed sequentially
+// (RunSequential — isolates queue/merge overhead from parallel speedup),
+// and the match count so exactness regressions are visible in the numbers
+// themselves.
 //
 // Speedup is bounded by the physical core count: on a single-core host
 // every configuration degenerates to sequential throughput minus queue
@@ -117,6 +119,20 @@ int main() {
     gen.seed = 52;
     const EventStream stream = GenerateGoogleTrace(schema, gen);
     RunCase("google_churn_hash", schema, stream, *queries::GoogleTaskChurn(),
+            ShardRouting::kHashPartition, schema.AttributeIndex("task"), 0);
+  }
+  {
+    // Router-heavy closed loop: a 1 ms window keeps almost no partial match
+    // alive, so an engine step costs about as much as routing the event and
+    // workers often catch up with the router — the case where the router
+    // hands events over one at a time instead of in staged batches. The
+    // longer stream keeps each run long enough to time.
+    const Schema schema = MakeGoogleTraceSchema();
+    GoogleTraceOptions gen;
+    gen.num_events = 400000;
+    gen.seed = 52;
+    const EventStream stream = GenerateGoogleTrace(schema, gen);
+    RunCase("google_churn_1ms_hash", schema, stream, *queries::GoogleTaskChurn("1ms"),
             ShardRouting::kHashPartition, schema.AttributeIndex("task"), 0);
   }
   return 0;

@@ -2,6 +2,7 @@
 
 #include "src/runtime/multi_query.h"
 
+#include "src/shed/controller.h"
 #include "src/shed/offline_estimator.h"
 #include "src/shed/registry.h"
 
@@ -161,7 +162,7 @@ Result<MultiQueryResult> MultiQueryRunner::Run(const EventStream& stream, double
       PerQuery& query_run = running[q];
       double cost;
       if (query_run.shedder != nullptr && query_run.shedder->FilterEvent(*event)) {
-        cost = 0.05;
+        cost = ShedRunner::kDroppedEventCost;
       } else {
         cost = query_run.engine->Process(event, &result.queries[q].matches);
         if (query_run.obs != nullptr) {

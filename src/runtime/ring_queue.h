@@ -251,7 +251,12 @@ class RingQueue {
   /// Power-of-two slot count.
   size_t capacity() const { return mask_ + 1; }
 
-  /// Approximate occupancy (racy by nature; diagnostics only).
+  /// Approximate occupancy: an advisory signal, racy by nature. Exact when
+  /// producer and consumer are quiescent; under concurrency it may lag
+  /// either side. The sharded runtime's router flushes a staged batch when
+  /// this reads 0, so a stale read can only delay that flush (to the batch
+  /// cap, a resize barrier or stream end) or bring it forward — it never
+  /// loses or reorders an element, which only the push/pop paths decide.
   size_t SizeApprox() const {
     const size_t tail = tail_.load(std::memory_order_relaxed);
     const size_t head = head_.load(std::memory_order_relaxed);

@@ -75,7 +75,9 @@ void SumStats(const EngineStats& in, EngineStats* out) {
 /// predicate-mask precompute, small enough to keep the SoA scratch
 /// columns cache-resident.
 constexpr size_t kConsumeBatch = 64;
-/// Events the router stages per shard before a TryPushBatch flush.
+/// Most events the router stages per shard before a TryPushBatch flush.
+/// The cap binds only under backlog: a stage whose shard queue reads empty
+/// is flushed at once, so a starved worker never waits for a batch to fill.
 constexpr size_t kRouterBatch = 32;
 
 }  // namespace
@@ -895,8 +897,11 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
   std::vector<int> targets;
   // Per-shard staging buffers: routing decisions append here and the
   // buffer is flushed to the shard queue with one TryPushBatch claim once
-  // it reaches kRouterBatch (and at every resize barrier and at stream
-  // end), amortizing the queue's CAS/fence traffic over the batch.
+  // it reaches kRouterBatch or the shard's queue reads empty (and at every
+  // resize barrier and at stream end). Batching thus amortizes the queue's
+  // CAS/fence traffic only while a backlog exists, when it costs no
+  // latency; a worker waiting on an empty queue gets each event at once,
+  // at the price of one push per event while it keeps pace with the router.
   std::vector<std::vector<EventPtr>> stage(shards.size());
   const auto flush_shard = [&](int t) {
     ShardState& s = *shards[static_cast<size_t>(t)];
@@ -1014,9 +1019,10 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
       // Accepted for delivery: `pushed` counts at stage time so scoped
       // resize anchors (pushed >= at) keep firing immediately before the
       // at-th delivery even though the physical push is deferred.
-      stage[static_cast<size_t>(t)].push_back(event);
+      std::vector<EventPtr>& buf = stage[static_cast<size_t>(t)];
+      buf.push_back(event);
       ++s.pushed;
-      if (stage[static_cast<size_t>(t)].size() >= kRouterBatch) flush_shard(t);
+      if (buf.size() >= kRouterBatch || s.queue->SizeApprox() == 0) flush_shard(t);
     }
   }
   flush_all();

@@ -60,6 +60,40 @@ TEST(RingQueueTest, WrapAroundKeepsFifo) {
   }
 }
 
+// Quiescent SizeApprox is exact: the router's starvation flush reads 0 as
+// "the worker has popped everything", so it must return to 0 after every
+// drain — including once the positions have wrapped past the slot count.
+TEST(RingQueueTest, SizeApproxIsExactWhenQuiescent) {
+  RingQueue<int> q(8);
+  EXPECT_EQ(q.SizeApprox(), 0u);
+  std::array<int, 8> in{};
+  std::array<int, 8> out{};
+  for (int round = 0; round < 5; ++round) {
+    // Offset by the round so the single pushes and the batch straddle the
+    // ring's end on later rounds.
+    for (int i = 0; i <= round % 3; ++i) {
+      ASSERT_TRUE(q.TryPush(i));
+      EXPECT_EQ(q.SizeApprox(), static_cast<size_t>(i + 1));
+    }
+    const size_t singles = static_cast<size_t>(round % 3 + 1);
+    ASSERT_EQ(q.TryPushBatch(in.data(), 5), 5u);
+    EXPECT_EQ(q.SizeApprox(), singles + 5);
+    ASSERT_EQ(q.TryPopBatch(out.data(), 3), 3u);
+    EXPECT_EQ(q.SizeApprox(), singles + 2);
+    ASSERT_EQ(q.TryPopBatch(out.data(), out.size()), singles + 2);
+    EXPECT_EQ(q.SizeApprox(), 0u);
+  }
+  // Fill to capacity with one batch claim, then drain one element at a time.
+  ASSERT_EQ(q.TryPushBatch(in.data(), in.size()), in.size());
+  EXPECT_EQ(q.SizeApprox(), q.capacity());
+  int v = -1;
+  for (size_t left = q.capacity(); left > 0; --left) {
+    ASSERT_TRUE(q.TryPop(&v));
+    EXPECT_EQ(q.SizeApprox(), left - 1);
+  }
+  EXPECT_EQ(q.SizeApprox(), 0u);
+}
+
 TEST(RingQueueTest, CloseDrainsThenFails) {
   RingQueue<int> q(8);
   EXPECT_TRUE(q.Push(1));

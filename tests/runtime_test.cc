@@ -1,15 +1,21 @@
 // Copyright (c) the CepShed authors. Licensed under the Apache License 2.0.
 //
 // Unit tests for the runtime pieces: latency monitor, partial-match store,
-// metrics, NFA compilation details.
+// metrics, NFA compilation details, the sharded router's hand-off.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "src/cep/engine.h"
 #include "src/cep/nfa.h"
 #include "src/cep/partial_match.h"
 #include "src/runtime/latency_monitor.h"
 #include "src/runtime/metrics.h"
+#include "src/runtime/shard_runtime.h"
+#include "src/shed/shedder.h"
 #include "src/workload/citibike.h"
 #include "src/workload/ds1.h"
 #include "src/query/parser.h"
@@ -378,6 +384,82 @@ TEST(CountWindowTest, EngineExpiresBySequenceDistance) {
   engine.Process(ev("C", 7), &out);
   engine.Process(ev("B", 8), &out);  // span 4 events: expired
   EXPECT_TRUE(out.empty());
+}
+
+/// No-op shedder that publishes how many events its worker has consumed:
+/// the worker calls FilterEvent on every event it pops, before the engine.
+class ConsumeCountingShedder : public Shedder {
+ public:
+  explicit ConsumeCountingShedder(std::atomic<uint64_t>* consumed)
+      : consumed_(consumed) {}
+  std::string Name() const override { return "count"; }
+  bool FilterEvent(const Event&) override {
+    consumed_->fetch_add(1, std::memory_order_release);
+    return false;
+  }
+  void AfterEvent(Timestamp, double) override {}
+
+ private:
+  std::atomic<uint64_t>* consumed_;
+};
+
+// The router must hand an event to a starved shard at once rather than
+// hold it in the stage until a full batch has piled up. The tap of event i
+// runs before event i is staged and waits for the worker to consume event
+// i-1, which happens only if event i-1 left the stage while the worker sat
+// on an empty queue. A stage that waited for a full batch would hold event
+// 0 forever, so the wait has a deadline that fails the test.
+TEST(ShardRuntimeHandOffTest, StarvedShardReceivesEachEventAtOnce) {
+  const Schema schema = MakeDs1Schema();
+  Ds1Options gen;
+  gen.num_events = 2000;
+  gen.seed = 11;
+  const EventStream stream = GenerateDs1(schema, gen);
+  auto nfa = Nfa::Compile(*queries::Q1("4ms"), &schema);
+  ASSERT_TRUE(nfa.ok());
+
+  std::atomic<uint64_t> consumed{0};
+  uint64_t tapped = 0;
+  int64_t stalled_at = -1;
+  ShardRuntimeOptions opts;
+  opts.num_shards = 1;
+  opts.ingest_tap = [&](const EventPtr&, const std::vector<int>&) {
+    // After one missed deadline the rest of the run goes unhindered, so a
+    // failure costs one deadline rather than one per event.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (stalled_at < 0 && consumed.load(std::memory_order_acquire) < tapped) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        stalled_at = static_cast<int64_t>(tapped);
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    ++tapped;
+  };
+  auto runtime = ShardRuntime::Create(*nfa, opts);
+  ASSERT_TRUE(runtime.ok()) << runtime.status();
+  auto parallel = (*runtime)->Run(stream, [&](int) {
+    return std::make_unique<ConsumeCountingShedder>(&consumed);
+  });
+  ASSERT_TRUE(parallel.ok()) << parallel.status();
+  EXPECT_EQ(stalled_at, -1) << "event " << stalled_at - 1
+                            << " stayed staged while its shard sat idle";
+  EXPECT_EQ(consumed.load(), stream.size());
+
+  // The hand-off changes only when events reach the worker, never what it
+  // computes: the sequential replay (without the waiting tap) agrees.
+  auto reference = ShardRuntime::Create(*nfa, ShardRuntimeOptions{});
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  auto sequential = (*reference)->RunSequential(stream);
+  ASSERT_TRUE(sequential.ok()) << sequential.status();
+  ASSERT_GT(sequential->matches.size(), 0u) << "degenerate stream";
+  ASSERT_EQ(parallel->matches.size(), sequential->matches.size());
+  for (size_t i = 0; i < parallel->matches.size(); ++i) {
+    EXPECT_EQ(parallel->matches[i].detected_at, sequential->matches[i].detected_at);
+    EXPECT_EQ(parallel->matches[i].Key(), sequential->matches[i].Key());
+  }
+  EXPECT_EQ(parallel->stats.events_processed, sequential->stats.events_processed);
+  EXPECT_EQ(parallel->stats.total_cost, sequential->stats.total_cost);
 }
 
 }  // namespace
