@@ -71,10 +71,10 @@ class RegressionTree {
     int leaf_index = -1;  // valid for leaves
   };
 
-  int Build(const std::vector<std::vector<double>>& x,
-            const std::vector<std::vector<double>>& y_norm,
-            std::vector<uint32_t>& indices, size_t begin, size_t end, int depth,
-            const Options& options, const std::vector<std::vector<double>>& y_raw);
+  /// Fit's scratch: inputs, normalized targets, and the presorted columns.
+  struct FitState;
+
+  int Build(FitState& s, size_t begin, size_t end, int depth);
 
   std::vector<Node> nodes_;
   std::vector<Leaf> leaves_;

@@ -32,6 +32,9 @@ ExperimentHarness::ExperimentHarness(const Schema* schema, Query query,
       test_(schema) {}
 
 Status ExperimentHarness::Prepare(const EventStream& train, const EventStream& test) {
+  // Cleared first: a failed re-Prepare has already replaced some inputs
+  // (e.g. test_), so the previous truth and models no longer fit them.
+  prepared_ = false;
   CEPSHED_ASSIGN_OR_RETURN(nfa_, Nfa::Compile(query_, schema_));
   train_ = train;
   test_ = test;
@@ -46,7 +49,7 @@ Status ExperimentHarness::Prepare(const EventStream& train, const EventStream& t
 
   positional_ = std::make_unique<PositionalUtility>(
       static_cast<int>(schema_->num_event_types()), /*buckets=*/8, query_.window);
-  CEPSHED_RETURN_NOT_OK(positional_->Train(nfa_, train_));
+  CEPSHED_RETURN_NOT_OK(positional_->Train(offline_, train_));
 
   hspice_ = std::make_unique<HspiceTable>();
   CEPSHED_RETURN_NOT_OK(hspice_->Train(nfa_, offline_));

@@ -89,6 +89,8 @@ class ExperimentHarness {
 
   /// Compiles the query, replays `train` for offline estimation + cost
   /// model training, and runs the no-shedding ground truth over `test`.
+  /// On failure the harness is left unprepared: runs return an error until
+  /// a later Prepare succeeds.
   Status Prepare(const EventStream& train, const EventStream& test);
 
   /// No-shedding latency statistic of the ground-truth run: the overall

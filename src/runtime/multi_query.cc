@@ -54,16 +54,9 @@ Status MultiQueryRunner::Prepare(const EventStream& train) {
     pspice_.push_back(std::move(pspice));
 
     // The query's no-shedding per-event cost on the training stream sizes
-    // its budget share.
-    Engine probe(nfa, engine_options_);
-    double total = 0.0;
-    std::vector<Match> sink;
-    for (const EventPtr& e : train) {
-      total += probe.Process(e, &sink);
-      sink.clear();
-    }
-    baseline_cost_.push_back(train.empty() ? 1.0
-                                           : total / static_cast<double>(train.size()));
+    // its budget share; the offline replay already summed it.
+    baseline_cost_.push_back(
+        train.empty() ? 1.0 : stats.replay_cost / static_cast<double>(train.size()));
 
     nfas_.push_back(std::move(nfa));
     models_.push_back(std::move(model));

@@ -61,9 +61,6 @@ struct CostModelOptions {
   size_t sketch_depth = 3;
   /// Disable to freeze the trained estimates (ablations).
   bool enable_online_adaptation = true;
-  /// Cap on records per state used for clustering / gap statistic
-  /// (deterministic stride subsampling keeps training fast).
-  size_t max_cluster_samples = 8000;
   /// Cap on records per state used for classifier training.
   size_t max_tree_samples = 60000;
 };

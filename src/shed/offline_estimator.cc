@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
+#include <limits>
 #include <unordered_set>
 
 namespace cepshed {
@@ -78,7 +78,15 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
   stats.num_events = history.size();
 
   Engine engine(nfa, engine_options);
-  std::unordered_map<uint64_t, size_t> index_of;  // pm id -> records index
+  // Lineage index: pm id -> records index. An engine numbers its partial
+  // matches 1, 2, 3, ... (witnesses and completed clones leave gaps), so a
+  // dense vector serves every ancestor-walk lookup without hashing.
+  constexpr size_t kNoRecord = std::numeric_limits<size_t>::max();
+  std::vector<size_t> index_of;
+  auto record_of = [&](uint64_t id) -> PmRecord* {
+    if (id >= index_of.size() || index_of[id] == kNoRecord) return nullptr;
+    return &stats.records[index_of[id]];
+  };
   std::unordered_set<uint64_t> participating_events;
 
   auto slice_of = [&](Timestamp start_ts, Timestamp now) {
@@ -109,7 +117,8 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
     rec.start_ts = pm.start_ts;
     rec.birth_ts = pm.last_ts;
     rec.consum_by_slice[0] = rec.own_omega;  // its own footprint
-    index_of.emplace(rec.id, stats.records.size());
+    if (rec.id >= index_of.size()) index_of.resize(rec.id + 1, kNoRecord);
+    index_of[rec.id] = stats.records.size();
     stats.records.push_back(std::move(rec));
 
     // Charge the new match's creation cost to every ancestor, at the age
@@ -119,11 +128,10 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
     const float omega = stats.records.back().own_omega;
     const Timestamp now = pm.last_ts;
     while (ancestor != 0) {
-      auto it = index_of.find(ancestor);
-      if (it == index_of.end()) break;
-      PmRecord& anc = stats.records[it->second];
-      anc.consum_by_slice[slice_of(anc.start_ts, now)] += omega;
-      ancestor = anc.parent_id;
+      PmRecord* anc = record_of(ancestor);
+      if (anc == nullptr) break;
+      anc->consum_by_slice[slice_of(anc->start_ts, now)] += omega;
+      ancestor = anc->parent_id;
     }
   });
 
@@ -135,20 +143,18 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
     // shedding an ancestor after the derivation no longer saves this work.
     engine.set_pm_probed_hook(
         [&](const PartialMatch& pm, double cost, Timestamp now) {
-          auto self = index_of.find(pm.id);
-          if (self == index_of.end()) return;
-          PmRecord& rec = stats.records[self->second];
-          rec.consum_by_slice[slice_of(rec.start_ts, now)] +=
+          PmRecord* rec = record_of(pm.id);
+          if (rec == nullptr) return;
+          rec->consum_by_slice[slice_of(rec->start_ts, now)] +=
               static_cast<float>(cost);
-          const Timestamp birth = rec.birth_ts;
-          uint64_t ancestor = rec.parent_id;
+          const Timestamp birth = rec->birth_ts;
+          uint64_t ancestor = rec->parent_id;
           while (ancestor != 0) {
-            auto it = index_of.find(ancestor);
-            if (it == index_of.end()) break;
-            PmRecord& anc = stats.records[it->second];
-            anc.consum_by_slice[slice_of(anc.start_ts, birth)] +=
+            PmRecord* anc = record_of(ancestor);
+            if (anc == nullptr) break;
+            anc->consum_by_slice[slice_of(anc->start_ts, birth)] +=
                 static_cast<float>(cost);
-            ancestor = anc.parent_id;
+            ancestor = anc->parent_id;
           }
         });
   }
@@ -161,29 +167,30 @@ Result<OfflineStats> EstimateOffline(std::shared_ptr<const Nfa> nfa,
     uint64_t ancestor = parent != nullptr ? parent->id : 0;
     const Timestamp now = match.detected_at;
     while (ancestor != 0) {
-      auto it = index_of.find(ancestor);
-      if (it == index_of.end()) break;
-      PmRecord& anc = stats.records[it->second];
-      anc.contrib_by_slice[slice_of(anc.start_ts, now)] += 1.0f;
-      ancestor = anc.parent_id;
+      PmRecord* anc = record_of(ancestor);
+      if (anc == nullptr) break;
+      anc->contrib_by_slice[slice_of(anc->start_ts, now)] += 1.0f;
+      ancestor = anc->parent_id;
     }
   });
 
   std::vector<Match> sink;
   for (const EventPtr& e : history) {
-    engine.Process(e, &sink);
+    stats.replay_cost += engine.Process(e, &sink);
     sink.clear();
   }
 
-  // Per-type selectivity statistics for the SI baseline.
+  // Per-event participation, and from it the per-type selectivity
+  // statistics for the SI baseline.
   const size_t num_types = nfa->schema().num_event_types();
   std::vector<size_t> type_count(num_types, 0);
   std::vector<size_t> type_hits(num_types, 0);
+  stats.event_participates.reserve(history.size());
   for (const EventPtr& e : history) {
+    const bool hit = participating_events.count(e->seq()) > 0;
+    stats.event_participates.push_back(hit ? 1 : 0);
     ++type_count[static_cast<size_t>(e->type())];
-    if (participating_events.count(e->seq()) > 0) {
-      ++type_hits[static_cast<size_t>(e->type())];
-    }
+    if (hit) ++type_hits[static_cast<size_t>(e->type())];
   }
   stats.type_utility.assign(num_types, 0.0);
   stats.type_share.assign(num_types, 0.0);

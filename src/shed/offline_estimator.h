@@ -5,8 +5,11 @@
 // partial match its contribution Gamma+ (complete matches derived from it)
 // and consumption Gamma- (resource cost Omega of matches derived from it),
 // bucketed by the age (time slice) at which each derivation materialized.
-// The same replay also yields the per-type selectivity statistics the
-// SI/SS baseline strategies use.
+// The same replay also yields everything else set-up learns from the
+// training stream: the per-type selectivity statistics the SI/SS baselines
+// use, which events take part in a match (the positional utility table of
+// the PI baseline), and the unshed per-event cost (multi-query budget
+// shares). No other consumer replays the stream again.
 //
 // Omega is denominated in Expr::Eval's abstract work units. The replay
 // engine may evaluate predicates through the bytecode VM
@@ -71,6 +74,12 @@ struct OfflineStats {
   /// eventually derive at least one complete match (the SS baseline's
   /// utility).
   std::vector<double> state_completion;
+  /// Per history event, in stream order: 1 if the event is bound in at
+  /// least one complete match, else 0 (PositionalUtility::Train's input).
+  std::vector<uint8_t> event_participates;
+  /// Sum of Engine::Process costs over the history, accumulated in stream
+  /// order: the unshed cost of the replay.
+  double replay_cost = 0.0;
   size_t num_events = 0;
   size_t num_matches = 0;
   /// Wall-clock seconds of the replay + bookkeeping (the paper reports

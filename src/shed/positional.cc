@@ -3,9 +3,7 @@
 #include "src/shed/positional.h"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "src/cep/engine.h"
 #include "src/shed/registry.h"
 
 namespace cepshed {
@@ -26,22 +24,16 @@ size_t PositionalUtility::Index(int type, Duration offset) const {
          static_cast<size_t>(std::min(bucket, buckets_ - 1));
 }
 
-Status PositionalUtility::Train(const std::shared_ptr<const Nfa>& nfa,
-                                const EventStream& history) {
-  Engine engine(nfa, EngineOptions{});
-  std::unordered_set<uint64_t> participating;
-  engine.set_match_hook([&](const Match& match, const PartialMatch*) {
-    for (const EventPtr& e : match.events) participating.insert(e->seq());
-  });
-  std::vector<Match> sink;
-  for (const EventPtr& e : history) {
-    engine.Process(e, &sink);
-    sink.clear();
+Status PositionalUtility::Train(const OfflineStats& stats, const EventStream& history) {
+  if (stats.event_participates.size() != history.size()) {
+    return Status::InvalidArgument(
+        "positional utility: offline stats were not estimated on this history");
   }
-  for (const EventPtr& e : history) {
+  for (size_t i = 0; i < history.size(); ++i) {
+    const EventPtr& e = history[i];
     const size_t idx = Index(e->type(), e->timestamp());
     totals_[idx] += 1.0;
-    if (participating.count(e->seq()) > 0) hits_[idx] += 1.0;
+    if (stats.event_participates[i] != 0) hits_[idx] += 1.0;
   }
   sorted_utilities_.clear();
   sorted_utilities_.reserve(history.size());

@@ -12,10 +12,10 @@
 
 #include <vector>
 
-#include "src/cep/nfa.h"
 #include "src/cep/stream.h"
 #include "src/common/rng.h"
 #include "src/shed/baselines.h"
+#include "src/shed/offline_estimator.h"
 #include "src/shed/shedder.h"
 
 namespace cepshed {
@@ -30,8 +30,10 @@ class PositionalUtility {
   /// `buckets` splits the window into relative-position bins.
   PositionalUtility(int num_types, int buckets, Duration window);
 
-  /// Learns the table by replaying `history` through an engine for `nfa`.
-  Status Train(const std::shared_ptr<const Nfa>& nfa, const EventStream& history);
+  /// Learns the table from `history` and the per-event participation flags
+  /// that EstimateOffline recorded while replaying that same stream
+  /// (OfflineStats::event_participates); no second replay is needed.
+  Status Train(const OfflineStats& stats, const EventStream& history);
 
   /// Utility of an event with the given timestamp (cyclic position).
   double Utility(int type, Timestamp ts) const;

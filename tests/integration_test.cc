@@ -171,5 +171,20 @@ TEST_F(IntegrationTest, BoundViolationRatioIsReported) {
   EXPECT_LE(hybrid.bound_violation_ratio, 1.0);
 }
 
+TEST_F(IntegrationTest, FailedRePrepareLeavesHarnessUnprepared) {
+  // A second Prepare that fails part-way must not leave the first one's
+  // ground truth standing behind the new test stream.
+  PrepareQ1(4000);
+  ASSERT_TRUE(harness_->RunBoundSpec("hybrid", 0.5).ok());
+  Ds1Options gen;
+  gen.num_events = 3000;
+  gen.seed = 103;
+  const EventStream other = GenerateDs1(schema_, gen);
+  harness_->mutable_options()->cost_model.num_time_slices = 0;
+  EXPECT_FALSE(harness_->Prepare(other, other).ok());
+  EXPECT_FALSE(harness_->RunBoundSpec("hybrid", 0.5).ok());
+  EXPECT_EQ(harness_->RunBound(StrategyKind::kRI, 0.5).name.rfind("error: ", 0), 0u);
+}
+
 }  // namespace
 }  // namespace cepshed

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/common/rng.h"
 #include "src/ml/decision_tree.h"
@@ -234,6 +235,151 @@ TEST(RegressionTreeTest, TrainingLeavesMatchPredictLeaf) {
   for (size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(tree.PredictLeaf(x[i]), tree.training_leaves()[i]);
   }
+}
+
+// --- pinned fits --------------------------------------------------------
+// Seeded datasets whose fitted trees are frozen by checksum: node count,
+// every leaf's count and mean bits, training_leaves(), and PredictLeaf on
+// probe points. Split search may be reorganized (presorting, buffers) but
+// must pick the same splits and sum in the same order, so these stay
+// bit-identical. The EXPECT failure prints the actual checksum.
+
+struct TreeCase {
+  uint64_t seed;
+  size_t n;
+  size_t features;
+  size_t targets;
+  /// 0: continuous features; k > 0: integer features in [0, k) (ties).
+  int levels;
+  /// Feature index held constant, or -1.
+  int constant_feature;
+  /// Every `dup_every`-th row repeats the previous row (0 = none).
+  size_t dup_every;
+  int min_samples_leaf;
+  int max_depth;
+  uint64_t checksum;
+};
+
+void MakeTreeData(const TreeCase& c, std::vector<std::vector<double>>* x,
+                  std::vector<std::vector<double>>* y) {
+  Rng rng(c.seed);
+  for (size_t i = 0; i < c.n; ++i) {
+    if (c.dup_every > 0 && i > 0 && i % c.dup_every == 0) {
+      x->push_back(x->back());
+      y->push_back(y->back());
+      continue;
+    }
+    std::vector<double> row(c.features);
+    for (size_t f = 0; f < c.features; ++f) {
+      row[f] = c.levels > 0 ? static_cast<double>(rng.UniformInt(0, c.levels - 1))
+                            : rng.UniformDouble(-5.0, 5.0);
+    }
+    if (c.constant_feature >= 0) row[static_cast<size_t>(c.constant_feature)] = 3.0;
+    std::vector<double> target(c.targets);
+    const double x0 = row[0];
+    const double x1 = c.features > 1 ? row[1] : 0.0;
+    target[0] = (x0 > 1.0 ? 4.0 : 0.5) + 0.3 * x1 + rng.Normal(0.0, 0.4);
+    if (c.targets > 1) {
+      target[1] = static_cast<double>(x0 + x1 > 2.0) * 3.0 +
+                  static_cast<double>(rng.Poisson(1.5));
+    }
+    x->push_back(std::move(row));
+    y->push_back(std::move(target));
+  }
+}
+
+uint64_t TreeChecksum(const RegressionTree& tree, const TreeCase& c,
+                      const std::vector<std::vector<double>>& x) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<unsigned char>(v >> (8 * i));
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_double = [&mix](double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    mix(bits);
+  };
+  mix(tree.num_nodes());
+  mix(tree.num_leaves());
+  mix(static_cast<uint64_t>(tree.Depth()));
+  for (size_t l = 0; l < tree.num_leaves(); ++l) {
+    const RegressionTree::Leaf& leaf = tree.leaf(static_cast<int>(l));
+    mix(leaf.count);
+    for (double m : leaf.mean) mix_double(m);
+  }
+  for (int leaf : tree.training_leaves()) mix(static_cast<uint64_t>(leaf));
+  Rng probes(c.seed ^ 0x9e3779b97f4a7c15ULL);
+  for (int p = 0; p < 64; ++p) {
+    std::vector<double> point(c.features);
+    for (double& v : point) v = probes.UniformDouble(-6.0, 6.0);
+    mix(static_cast<uint64_t>(tree.PredictLeaf(point)));
+  }
+  for (size_t i = 0; i < x.size(); i += 7) {
+    mix(static_cast<uint64_t>(tree.PredictLeaf(x[i])));
+  }
+  return h;
+}
+
+TEST(RegressionTreeTest, PinnedFits) {
+  const TreeCase cases[] = {
+      // seed, n, d, m, levels, const, dup, min_leaf, depth, checksum
+      {1, 400, 2, 2, 0, -1, 0, 20, 10, 0x3db8612f14d82925ULL},
+      {2, 400, 2, 1, 0, -1, 0, 20, 10, 0x8ca2aab70b8d55dULL},
+      {3, 600, 3, 2, 4, -1, 0, 25, 10, 0x63e96bfd9397fb4dULL},    // heavy ties
+      {4, 600, 3, 1, 2, -1, 0, 10, 10, 0x2ca2ab83fa27717dULL},    // binary features
+      {5, 500, 3, 2, 0, 1, 0, 20, 10, 0xf6e091c7cbb31c4cULL},     // constant middle column
+      {6, 500, 2, 2, 0, 0, 0, 20, 10, 0x5f78a5d3121ceaf3ULL},     // constant splitting column
+      {7, 300, 1, 1, 0, 0, 0, 10, 10, 0xd48e5cc894fe2880ULL},     // every column constant
+      {8, 500, 2, 2, 0, -1, 3, 15, 10, 0x840bb7d7439b4d32ULL},    // duplicate rows
+      {9, 500, 2, 1, 6, -1, 2, 15, 10, 0x29636202850e2a14ULL},    // duplicates + ties
+      {10, 100, 2, 2, 0, -1, 0, 50, 10, 0x20607c52f30c2773ULL},   // n == 2 * min_leaf
+      {11, 100, 2, 1, 3, -1, 0, 50, 10, 0xfcddde3e0802ffa8ULL},   // n == 2 * min_leaf, ties
+      {12, 99, 2, 2, 0, -1, 0, 50, 10, 0xdbca153e93b35818ULL},    // one short of a split
+      {13, 40, 2, 2, 0, -1, 0, 20, 10, 0x72a5e983d0aa8fe9ULL},    // n == 2 * min_leaf, small
+      {14, 2000, 4, 2, 0, -1, 0, 50, 10, 0x6e0e1814d3dd8220ULL},  // deeper tree
+      {15, 2000, 4, 1, 8, -1, 5, 30, 10, 0x46a9e5d5ac013d76ULL},
+      {16, 800, 6, 2, 0, 3, 0, 20, 3, 0x54719b12e0d4a2eaULL},     // depth-capped
+      {17, 800, 2, 2, 10, -1, 0, 1, 10, 0xbc17c95e8298f65eULL},   // tiny leaves
+      {18, 800, 2, 1, 0, -1, 0, 1, 4, 0xd63ca341ca681dc0ULL},
+      {19, 1200, 3, 2, 5, 2, 4, 40, 10, 0xd5c8699240921ab1ULL},   // everything at once
+      {20, 1, 2, 2, 0, -1, 0, 1, 10, 0x702af111c08765d2ULL},      // single row
+  };
+  for (const TreeCase& c : cases) {
+    std::vector<std::vector<double>> x;
+    std::vector<std::vector<double>> y;
+    MakeTreeData(c, &x, &y);
+    RegressionTree tree;
+    RegressionTree::Options opts;
+    opts.min_samples_leaf = c.min_samples_leaf;
+    opts.max_depth = c.max_depth;
+    ASSERT_TRUE(tree.Fit(x, y, opts).ok()) << "case " << c.seed;
+    const uint64_t got = TreeChecksum(tree, c, x);
+    EXPECT_EQ(got, c.checksum) << "case " << c.seed << std::hex << " 0x" << got;
+  }
+}
+
+TEST(RegressionTreeTest, PinnedConstantTargets) {
+  // Constant targets leave only rounding residue in the node impurity, so
+  // whether and where the tree splits hinges on the exact summation order.
+  const TreeCase c{21, 200, 2, 2, 0, -1, 0, 50, 10, 0x430cea729a2cbf1aULL};
+  std::vector<std::vector<double>> x;
+  std::vector<std::vector<double>> y;
+  for (size_t i = 0; i < c.n; ++i) {
+    x.push_back({static_cast<double>(i % 13), static_cast<double>(i)});
+    y.push_back({2.5, -1.0});
+  }
+  RegressionTree tree;
+  RegressionTree::Options opts;
+  opts.min_samples_leaf = c.min_samples_leaf;
+  ASSERT_TRUE(tree.Fit(x, y, opts).ok());
+  for (size_t l = 0; l < tree.num_leaves(); ++l) {
+    EXPECT_DOUBLE_EQ(tree.leaf(static_cast<int>(l)).mean[0], 2.5);
+  }
+  const uint64_t got = TreeChecksum(tree, c, x);
+  EXPECT_EQ(got, c.checksum) << std::hex << "0x" << got;
 }
 
 }  // namespace

@@ -11,9 +11,20 @@
 #include "src/workload/queries.h"
 #include "src/runtime/metrics.h"
 #include "src/shed/controller.h"
+#include "src/shed/offline_estimator.h"
 
 namespace cepshed {
 namespace {
+
+/// Trains `utility` from one offline replay of `history`, as the harness
+/// does.
+Status TrainFromReplay(PositionalUtility* utility, const std::shared_ptr<const Nfa>& nfa,
+                       const EventStream& history) {
+  CEPSHED_ASSIGN_OR_RETURN(OfflineStats stats,
+                           EstimateOffline(nfa, history, /*num_slices=*/4,
+                                           /*use_resource_cost=*/true));
+  return utility->Train(stats, history);
+}
 
 TEST(PositionalUtilityTest, LearnsTypeLevelUtilities) {
   const Schema schema = MakeDs1Schema();
@@ -25,7 +36,7 @@ TEST(PositionalUtilityTest, LearnsTypeLevelUtilities) {
   ASSERT_TRUE(nfa.ok());
 
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
-  ASSERT_TRUE(utility.Train(*nfa, history).ok());
+  ASSERT_TRUE(TrainFromReplay(&utility, *nfa, history).ok());
   // D never participates in Q1; A does.
   EXPECT_DOUBLE_EQ(utility.Utility(schema.EventTypeId("D"), 0), 0.0);
   double a_any = 0.0;
@@ -33,6 +44,46 @@ TEST(PositionalUtilityTest, LearnsTypeLevelUtilities) {
     a_any += utility.Utility(schema.EventTypeId("A"), b * Millis(1));
   }
   EXPECT_GT(a_any, 0.0);
+}
+
+TEST(PositionalUtilityTest, ParticipationFlagsMatchAnIndependentReplay) {
+  // The table reads OfflineStats::event_participates instead of replaying
+  // the stream itself; the flags must mark exactly the events a plain
+  // engine binds into complete matches.
+  const Schema schema = MakeDs1Schema();
+  Ds1Options gen;
+  gen.num_events = 4000;
+  gen.seed = 60;
+  const EventStream history = GenerateDs1(schema, gen);
+  auto nfa = Nfa::Compile(*queries::Q1(), &schema);
+  ASSERT_TRUE(nfa.ok());
+  auto stats = EstimateOffline(*nfa, history, 4, true);
+  ASSERT_TRUE(stats.ok());
+
+  Engine engine(*nfa, EngineOptions{});
+  std::vector<Match> matches;
+  for (const EventPtr& e : history) engine.Process(e, &matches);
+  ASSERT_FALSE(matches.empty());
+  std::vector<uint8_t> expected(history.size(), 0);
+  for (const Match& m : matches) {
+    for (const EventPtr& e : m.events) expected[static_cast<size_t>(e->seq())] = 1;
+  }
+  EXPECT_EQ(stats->event_participates, expected);
+  EXPECT_DOUBLE_EQ(stats->replay_cost, engine.stats().total_cost);
+}
+
+TEST(PositionalUtilityTest, RejectsStatsFromAnotherStream) {
+  const Schema schema = MakeDs1Schema();
+  Ds1Options gen;
+  gen.num_events = 2000;
+  gen.seed = 59;
+  const EventStream history = GenerateDs1(schema, gen);
+  auto nfa = Nfa::Compile(*queries::Q1(), &schema);
+  ASSERT_TRUE(nfa.ok());
+  auto stats = EstimateOffline(*nfa, history.Prefix(1000), 4, true);
+  ASSERT_TRUE(stats.ok());
+  PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
+  EXPECT_FALSE(utility.Train(*stats, history).ok());
 }
 
 TEST(PositionalUtilityTest, CapturesPeriodicStructure) {
@@ -50,7 +101,7 @@ TEST(PositionalUtilityTest, CapturesPeriodicStructure) {
   // the generator's cycle.
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 6,
                             gen.rush_period);
-  ASSERT_TRUE(utility.Train(*nfa, history).ok());
+  ASSERT_TRUE(TrainFromReplay(&utility, *nfa, history).ok());
   const int trip = schema.EventTypeId("BikeTrip");
   double lo = 1.0;
   double hi = 0.0;
@@ -71,7 +122,7 @@ TEST(PositionalShedderTest, FixedRatioDropsApproximateFraction) {
   auto nfa = Nfa::Compile(*queries::Q1(), &schema);
   ASSERT_TRUE(nfa.ok());
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
-  ASSERT_TRUE(utility.Train(*nfa, history).ok());
+  ASSERT_TRUE(TrainFromReplay(&utility, *nfa, history).ok());
 
   PositionalInputShedder shedder(&utility, /*fraction=*/0.25, /*seed=*/3);
   size_t dropped = 0;
@@ -93,7 +144,7 @@ TEST(PositionalShedderTest, BeatsRandomInputAtEqualRatio) {
   auto nfa = Nfa::Compile(*queries::Q1(), &schema);
   ASSERT_TRUE(nfa.ok());
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
-  ASSERT_TRUE(utility.Train(*nfa, train).ok());
+  ASSERT_TRUE(TrainFromReplay(&utility, *nfa, train).ok());
 
   auto run = [&](Shedder* shedder) {
     Engine engine(*nfa, EngineOptions{});
@@ -120,7 +171,7 @@ TEST(PositionalShedderTest, LatencyBoundModeActivatesUnderOverload) {
   auto nfa = Nfa::Compile(*queries::Q1(), &schema);
   ASSERT_TRUE(nfa.ok());
   PositionalUtility utility(static_cast<int>(schema.num_event_types()), 8, Millis(8));
-  ASSERT_TRUE(utility.Train(*nfa, stream).ok());
+  ASSERT_TRUE(TrainFromReplay(&utility, *nfa, stream).ok());
 
   PositionalInputShedder shedder(&utility, /*theta=*/1.0, /*trigger_delay=*/100,
                                  /*seed=*/5);
