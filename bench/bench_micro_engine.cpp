@@ -15,6 +15,7 @@
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
 #include "src/query/parser.h"
+#include "src/runtime/shard_step.h"
 #include "src/workload/csv.h"
 #include "src/workload/csv_mmap.h"
 #include "src/workload/ds1.h"
@@ -230,7 +231,11 @@ void BM_EngineQ1PredVm(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineQ1PredVm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_EngineQ1(benchmark::State& state) {
+/// The Q1 engine loop driven through the per-event step every driver
+/// uses. With a null obs slot this is the metrics-off baseline of the
+/// record-path overhead gate; BM_EngineQ1Metrics runs the same step with a
+/// slot attached.
+void RunEngineQ1Step(benchmark::State& state, obs::ShardObs* obs) {
   const Schema schema = MakeDs1Schema();
   Ds1Options gen;
   gen.num_events = 20000;
@@ -240,49 +245,27 @@ void BM_EngineQ1(benchmark::State& state) {
   opts.use_join_index = state.range(0) != 0;
   for (auto _ : state) {
     Engine engine(*nfa, opts);
+    ShardStep step(&engine, LatencyMonitor::Options{});
+    step.set_obs(obs);
     std::vector<Match> out;
-    for (const EventPtr& e : stream) engine.Process(e, &out);
+    for (const EventPtr& e : stream) step.Step(e, &out);
     benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(stream.size()));
 }
+
+void BM_EngineQ1(benchmark::State& state) { RunEngineQ1Step(state, nullptr); }
 BENCHMARK(BM_EngineQ1)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// BM_EngineQ1 with the full per-event obs record path enabled — exactly
-/// what ShedRunner/ShardState add per event: two counters, the cost
-/// histogram, and the matches-emitted delta. The CI overhead gate compares
-/// this against BM_EngineQ1 (same Arg) and fails above 5%.
+/// BM_EngineQ1 with an obs slot attached: the full per-event record path
+/// of every driver (counters, the cost histogram, the matches delta, the
+/// footprint gauges and the expiry-counter deltas). The CI overhead gate
+/// compares this against BM_EngineQ1 (same Arg) and fails above 5%.
 void BM_EngineQ1Metrics(benchmark::State& state) {
-  const Schema schema = MakeDs1Schema();
-  Ds1Options gen;
-  gen.num_events = 20000;
-  const EventStream stream = GenerateDs1(schema, gen);
-  auto nfa = Nfa::Compile(*queries::Q1("4ms"), &schema);
-  EngineOptions opts;
-  opts.use_join_index = state.range(0) != 0;
-  obs::MetricsRegistry registry;
-  registry.EnsureShards(1);
-  obs::ShardObs* obs = registry.shard(0);
-  for (auto _ : state) {
-    Engine engine(*nfa, opts);
-    std::vector<Match> out;
-    size_t matches_seen = 0;
-    for (const EventPtr& e : stream) {
-      const double cost = engine.Process(e, &out);
-      obs->events_routed.Add();
-      obs->events_processed.Add();
-      obs->event_cost.Record(cost);
-      if (out.size() != matches_seen) {
-        obs->matches_emitted.Add(out.size() - matches_seen);
-        matches_seen = out.size();
-      }
-    }
-    benchmark::DoNotOptimize(out.size());
-    benchmark::DoNotOptimize(obs->events_processed.Load());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
+  obs::MetricsRegistry registry(1);
+  RunEngineQ1Step(state, registry.shard(0));
+  benchmark::DoNotOptimize(registry.shard(0)->events_processed.Load());
 }
 BENCHMARK(BM_EngineQ1Metrics)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -79,20 +79,8 @@ double ExperimentHarness::BaselineLatency(LatencyStat stat) const {
   return truth_run_.avg_latency;
 }
 
-ExperimentResult ExperimentHarness::RunWith(Shedder* shedder, CostModel* model,
-                                            size_t pm_sample_stride) {
+ExperimentResult ExperimentHarness::RunWith(Shedder* shedder, size_t pm_sample_stride) {
   Engine engine(nfa_, options_.engine);
-  if (model != nullptr) {
-    engine.set_classifier(
-        [model](const PartialMatch& pm) { return model->Classify(pm); });
-    engine.set_pm_created_hook(
-        [model](const PartialMatch& pm, const PartialMatch* parent) {
-          model->OnPmCreated(pm, parent, pm.last_ts);
-        });
-    engine.set_match_hook([model](const Match& m, const PartialMatch* parent) {
-      model->OnMatch(m, parent, m.detected_at);
-    });
-  }
   ShedRunner runner(&engine, shedder, options_.latency);
   if (options_.metrics != nullptr) {
     options_.metrics->EnsureShards(1);
@@ -172,7 +160,7 @@ Result<ExperimentResult> ExperimentHarness::RunSpec(const std::string& spec,
   const ShedderContext ctx = MakeContext(theta, fraction, seed);
   CEPSHED_ASSIGN_OR_RETURN(std::unique_ptr<Shedder> shedder,
                            ShedderRegistry::Instance().Create(spec, ctx));
-  return RunWith(shedder.get(), nullptr, pm_sample_stride);
+  return RunWith(shedder.get(), pm_sample_stride);
 }
 
 Result<ExperimentResult> ExperimentHarness::RunBoundSpec(const std::string& spec,

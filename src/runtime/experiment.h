@@ -147,8 +147,10 @@ class ExperimentHarness {
   const PspiceModel& pspice() const { return *pspice_; }
 
  private:
-  ExperimentResult RunWith(Shedder* shedder, CostModel* model,
-                           size_t pm_sample_stride);
+  /// Runs the test stream through a fresh engine under `shedder`, which
+  /// wires any engine hooks it needs (model-backed strategies do so at
+  /// Bind).
+  ExperimentResult RunWith(Shedder* shedder, size_t pm_sample_stride);
   Result<ExperimentResult> RunSpec(const std::string& spec, double theta,
                                    double fraction, uint64_t seed,
                                    size_t pm_sample_stride);

@@ -74,27 +74,19 @@ Result<MultiQueryResult> MultiQueryRunner::Run(const EventStream& stream, double
   for (size_t q = 0; q < queries_.size(); ++q) {
     denom += queries_[q].weight * baseline_cost_[q];
   }
-
-  struct PerQuery {
-    std::unique_ptr<Engine> engine;
-    std::unique_ptr<CostModel> model;
-    std::unique_ptr<Shedder> shedder;
-    std::unique_ptr<LatencyMonitor> monitor;
-    obs::ShardObs* obs = nullptr;
-    size_t obs_matches_seen = 0;
-    double total_cost = 0.0;
-  };
-  std::vector<PerQuery> running(queries_.size());
   if (metrics_ != nullptr) metrics_->EnsureShards(static_cast<int>(queries_.size()));
   MultiQueryResult result;
   result.queries.resize(queries_.size());
 
+  // The queries split the budget up front and share no state while they
+  // run, so each one is a single-engine run over the whole stream.
   for (size_t q = 0; q < queries_.size(); ++q) {
-    PerQuery& query_run = running[q];
-    query_run.engine = std::make_unique<Engine>(nfas_[q], engine_options_);
-    const double theta_q =
-        theta > 0.0 ? theta * queries_[q].weight * baseline_cost_[q] / denom : -1.0;
-    if (theta > 0.0 && !shedder_spec_.empty()) {
+    Engine engine(nfas_[q], engine_options_);
+    std::unique_ptr<Shedder> shedder;
+    const double theta_q = theta * queries_[q].weight * baseline_cost_[q] / denom;
+    if (theta <= 0.0) {
+      shedder = std::make_unique<NoShedder>();
+    } else if (!shedder_spec_.empty()) {
       // Registry path: any named strategy over this query's slice and
       // substrate. Model-backed strategies wire their own engine hooks at
       // Bind, so nothing is wired here.
@@ -109,85 +101,34 @@ Result<MultiQueryResult> MultiQueryRunner::Run(const EventStream& stream, double
       ctx.pspice = pspice_[q].get();
       ctx.utility_samples = &utility_samples_[q];
       ctx.train = &train_;
-      CEPSHED_ASSIGN_OR_RETURN(
-          query_run.shedder,
-          ShedderRegistry::Instance().Create(shedder_spec_, ctx));
-      query_run.shedder->Bind(query_run.engine.get());
+      CEPSHED_ASSIGN_OR_RETURN(shedder,
+                               ShedderRegistry::Instance().Create(shedder_spec_, ctx));
     } else {
-      query_run.model = std::make_unique<CostModel>(*models_[q]);
-      CostModel* model = query_run.model.get();
-      query_run.engine->set_classifier(
-          [model](const PartialMatch& pm) { return model->Classify(pm); });
-      query_run.engine->set_pm_created_hook(
-          [model](const PartialMatch& pm, const PartialMatch* parent) {
-            model->OnPmCreated(pm, parent, pm.last_ts);
-          });
-      query_run.engine->set_match_hook(
-          [model](const Match& m, const PartialMatch* parent) {
-            model->OnMatch(m, parent, m.detected_at);
-          });
-      if (theta > 0.0) {
-        HybridOptions opts = shed_options_;
-        opts.theta = theta_q;
-        opts.utility_samples = utility_samples_[q];
-        opts.seed = shed_options_.seed + q;
-        query_run.shedder = std::make_unique<HybridShedder>(model, opts);
-        query_run.shedder->Bind(query_run.engine.get());
-      }
+      auto model = std::make_unique<CostModel>(*models_[q]);
+      HybridOptions opts = shed_options_;
+      opts.theta = theta_q;
+      opts.utility_samples = utility_samples_[q];
+      opts.seed = shed_options_.seed + q;
+      auto hybrid = std::make_unique<HybridShedder>(model.get(), opts);
+      shedder = std::make_unique<ModelOwningShedder>(std::move(model), std::move(hybrid));
     }
+    ShedRunner runner(&engine, shedder.get(), LatencyMonitor::Options{});
     if (metrics_ != nullptr) {
-      query_run.obs = metrics_->shard(static_cast<int>(q));
-      if (query_run.shedder != nullptr) {
-        query_run.shedder->set_obs(query_run.obs, static_cast<int>(q));
-      }
+      runner.set_obs(metrics_->shard(static_cast<int>(q)), static_cast<int>(q));
     }
-    query_run.monitor = std::make_unique<LatencyMonitor>();
-    if (queries_[q].query.name.empty()) {
-      result.queries[q].name = "q";
-      result.queries[q].name += std::to_string(q);
-    } else {
-      result.queries[q].name = queries_[q].query.name;
-    }
-  }
+    RunResult run = runner.Run(stream);
 
-  for (const EventPtr& event : stream) {
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      PerQuery& query_run = running[q];
-      double cost;
-      if (query_run.shedder != nullptr && query_run.shedder->FilterEvent(*event)) {
-        cost = ShedRunner::kDroppedEventCost;
-      } else {
-        cost = query_run.engine->Process(event, &result.queries[q].matches);
-        if (query_run.obs != nullptr) {
-          query_run.obs->events_processed.Add();
-          const size_t n = result.queries[q].matches.size();
-          if (n != query_run.obs_matches_seen) {
-            query_run.obs->matches_emitted.Add(n - query_run.obs_matches_seen);
-            query_run.obs_matches_seen = n;
-          }
-        }
-      }
-      if (query_run.obs != nullptr) {
-        query_run.obs->events_routed.Add();
-        query_run.obs->event_cost.Record(cost);
-      }
-      query_run.monitor->Record(cost);
-      query_run.total_cost += cost;
-      if (query_run.shedder != nullptr) {
-        query_run.shedder->AfterEvent(event->timestamp(), query_run.monitor->Current());
-      }
-    }
-  }
-
-  for (size_t q = 0; q < queries_.size(); ++q) {
     PerQueryResult& out = result.queries[q];
-    out.avg_latency = stream.empty()
-                          ? 0.0
-                          : running[q].total_cost / static_cast<double>(stream.size());
-    if (running[q].shedder != nullptr) {
-      out.dropped_events = running[q].shedder->events_dropped();
-      out.shed_pms = running[q].shedder->pms_shed();
+    if (queries_[q].query.name.empty()) {
+      out.name = "q";
+      out.name += std::to_string(q);
+    } else {
+      out.name = queries_[q].query.name;
     }
+    out.matches = std::move(run.matches);
+    out.avg_latency = run.avg_latency;
+    out.dropped_events = run.dropped_events;
+    out.shed_pms = run.shed_pms;
     result.total_avg_latency += out.avg_latency;
   }
   return result;

@@ -67,7 +67,8 @@ class MultiQueryRunner {
   /// exhaustive multi-query baseline); otherwise the budget is split
   /// theta_q = theta * w_q c_q / sum(w c) where c_q is query q's
   /// no-shedding average cost on the training stream, and each query's
-  /// hybrid shedder enforces its slice.
+  /// hybrid shedder enforces its slice. The queries share no state once
+  /// the budget is split, so each one runs through its own ShedRunner.
   Result<MultiQueryResult> Run(const EventStream& stream, double theta);
 
   size_t num_queries() const { return queries_.size(); }

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "src/runtime/ring_queue.h"
-#include "src/shed/controller.h"
+#include "src/runtime/shard_step.h"
 
 namespace cepshed {
 
@@ -257,6 +257,10 @@ int ShardRuntime::HashShardOf(const Event& event) const {
   return ShardOfKey(event.attr(opts_.partition_attr), live_shards_);
 }
 
+const FaultInjector* ShardRuntime::RunFaults() const {
+  return (opts_.faults != nullptr && !opts_.faults->empty()) ? opts_.faults : nullptr;
+}
+
 bool ShardRuntime::Elastic() const {
   return opts_.reshard.enabled ||
          (opts_.faults != nullptr && opts_.faults->has_resizes());
@@ -309,7 +313,7 @@ void ShardRuntime::RouteEvent(const Event& event, std::vector<int>* out) const {
   }
 }
 
-/// All state one shard's worker touches. Engines, monitors, shedders, and
+/// All state one shard's worker touches. Engines, steps, shedders, and
 /// guards are confined to the owning worker thread between queue handoff
 /// points; the join at the end of Run publishes the results to the caller.
 /// The router additionally writes events_rejected (a member the worker
@@ -321,15 +325,10 @@ struct ShardRuntime::ShardState {
   std::unique_ptr<OverloadGuard> guard;
   /// Observability slot of this shard (not owned; null = disabled).
   obs::ShardObs* obs = nullptr;
-  /// Matches already counted into obs->matches_emitted.
-  size_t obs_matches_seen = 0;
-  /// Store expiry-wheel totals already published to the obs counters.
-  uint64_t obs_expiry_reaped_seen = 0;
-  uint64_t obs_wheel_cascades_seen = 0;
   /// Not owned; null when no faults target this run.
   const FaultInjector* faults = nullptr;
-  LatencyMonitor monitor;
-  size_t monitor_window = 0;
+  /// The per-event step over engine, shedder, guard, obs and queue.
+  ShardStep step;
   std::vector<Match> matches;
   ShardResult result;
   std::unique_ptr<RingQueue<EventPtr>> queue;
@@ -380,8 +379,19 @@ struct ShardRuntime::ShardState {
   std::atomic<bool> worker_exited{false};
   std::thread worker;
 
-  explicit ShardState(LatencyMonitor::Options latency)
-      : monitor(latency), monitor_window(latency.window) {}
+  ShardState(std::unique_ptr<Engine> e, LatencyMonitor::Options latency)
+      : engine(std::move(e)), step(engine.get(), latency) {}
+
+  /// Books one delivered event lost unprocessed: consumed by a worker
+  /// death or drained after abandonment.
+  void CountLost() {
+    ++result.events_routed;
+    ++result.events_lost;
+    if (obs != nullptr) {
+      obs->events_routed.Add();
+      obs->events_lost.Add();
+    }
+  }
 
   /// Handles one delivered event. Returns true when an injected death
   /// fault fires: the event is counted lost and the caller must terminate
@@ -390,84 +400,18 @@ struct ShardRuntime::ShardState {
     ActiveFaults injected;
     if (faults != nullptr) injected = faults->OnConsume(shard_id, consumed);
     ++consumed;
-    ++result.events_routed;
-    if (obs != nullptr) obs->events_routed.Add();
     if (injected.die) {
-      ++result.events_lost;
-      if (obs != nullptr) obs->events_lost.Add();
+      CountLost();
       handled.fetch_add(1, std::memory_order_release);
       return true;
     }
     if (injected.stall_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(injected.stall_us));
     }
-    double cost;
-    if (guard != nullptr && guard->ShouldDropInput(event->seq())) {
-      // Guard rho_I: counted as a drop like any other input shedding.
-      ++result.events_dropped;
-      cost = ShedRunner::kDroppedEventCost;
-      if (obs != nullptr) {
-        obs->events_dropped_guard.Add();
-        obs->audit.Record(obs::AuditKind::kGuardDrop,
-                          static_cast<uint8_t>(shard_id), event->timestamp(),
-                          -1, monitor.Current(), event->seq());
-      }
-    } else if (shedder != nullptr && shedder->FilterEvent(*event)) {
-      ++result.events_dropped;
-      cost = ShedRunner::kDroppedEventCost;
-    } else {
-      cost = engine->Process(event, &matches);
-      ++result.events_processed;
-      if (obs != nullptr) {
-        obs->events_processed.Add();
-        if (matches.size() != obs_matches_seen) {
-          obs->matches_emitted.Add(matches.size() - obs_matches_seen);
-          obs_matches_seen = matches.size();
-        }
-      }
-    }
-    if (obs != nullptr) obs->event_cost.Record(cost * injected.cost_multiplier);
-    monitor.Record(cost * injected.cost_multiplier);
-    if (shedder != nullptr) {
-      const double theta = shedder->theta();
-      if (theta > 0.0 && monitor.Count() >= monitor_window) {
-        ++result.bound_checked;
-        if (monitor.Current() > theta) ++result.bound_violations;
-      }
-      shedder->AfterEvent(event->timestamp(), monitor.Current());
-    }
+    ++result.events_routed;
+    step.Step(event, &matches, injected.cost_multiplier, injected.clock_skew_us);
     if (guard != nullptr) {
-      guard->Observe(monitor.Current(), queue != nullptr ? queue->SizeApprox() : 0,
-                     queue != nullptr ? queue->capacity() : 0,
-                     event->timestamp() + injected.clock_skew_us);
-      guard_level_pub.store(static_cast<int>(guard->level()),
-                            std::memory_order_relaxed);
-    }
-    if (obs != nullptr) {
-      // Footprint gauges live here — code shared by Run and RunSequential —
-      // so the parallel/sequential snapshot-equality property holds for
-      // them too (engine state is a pure function of the shard substream).
-      obs->state_bytes.Set(static_cast<int64_t>(engine->ApproxStateBytes()));
-      obs->arena_live_bytes.Set(
-          static_cast<int64_t>(engine->store().arena().LiveBytes()));
-      obs->arena_capacity_bytes.Set(
-          static_cast<int64_t>(engine->store().arena().CapacityBytes()));
-      obs->flat_cache_entries.Set(static_cast<int64_t>(engine->FlatCacheSize()));
-      obs->wheel_entries.Set(static_cast<int64_t>(engine->store().WheelEntries()));
-      // Expiry-wheel counters are maintained by the store as totals;
-      // publish the delta since the last consume (same pattern as
-      // obs_matches_seen) so the obs counter stays monotone across
-      // worker restarts, which hand the same engine to a fresh worker.
-      const uint64_t reaped = engine->store().ExpiryReapedTotal();
-      if (reaped > obs_expiry_reaped_seen) {
-        obs->expiry_reaped.Add(reaped - obs_expiry_reaped_seen);
-        obs_expiry_reaped_seen = reaped;
-      }
-      const uint64_t cascades = engine->store().WheelCascadesTotal();
-      if (cascades > obs_wheel_cascades_seen) {
-        obs->wheel_cascades.Add(cascades - obs_wheel_cascades_seen);
-        obs_wheel_cascades_seen = cascades;
-      }
+      guard_level_pub.store(static_cast<int>(guard->level()), std::memory_order_relaxed);
     }
     handled.fetch_add(1, std::memory_order_release);
     return false;
@@ -516,7 +460,11 @@ struct ShardRuntime::ShardState {
   void Finish() {
     if (finished) return;
     finished = true;
-    result.avg_latency = monitor.OverallAverage();
+    result.events_dropped = step.events_dropped();
+    result.events_processed = step.events_processed();
+    result.bound_checked = step.bound_checked();
+    result.bound_violations = step.bound_violations();
+    result.avg_latency = step.monitor().OverallAverage();
     result.shed_pms = shedder != nullptr ? shedder->pms_shed() : 0;
     if (guard != nullptr) {
       const OverloadGuard::Stats& g = guard->stats();
@@ -578,25 +526,11 @@ void ShardRuntime::AbandonShard(ShardState* s) const {
   // The remainder of the batch the dead worker popped but never consumed
   // drains first — those events already left the queue, so the queue loop
   // below would otherwise silently drop them from the accounting.
-  for (size_t i = s->batch_pos; i < s->batch.size(); ++i) {
-    ++s->result.events_routed;
-    ++s->result.events_lost;
-    if (s->obs != nullptr) {
-      s->obs->events_routed.Add();
-      s->obs->events_lost.Add();
-    }
-  }
+  for (size_t i = s->batch_pos; i < s->batch.size(); ++i) s->CountLost();
   s->batch.clear();
   s->batch_pos = 0;
   EventPtr event;
-  while (s->queue->Pop(&event)) {
-    ++s->result.events_routed;
-    ++s->result.events_lost;
-    if (s->obs != nullptr) {
-      s->obs->events_routed.Add();
-      s->obs->events_lost.Add();
-    }
-  }
+  while (s->queue->Pop(&event)) s->CountLost();
   s->Finish();
 }
 
@@ -612,12 +546,7 @@ void ShardRuntime::FinishDeadShard(ShardState* s) const {
   }
   const auto deliver = [&](const EventPtr& event) {
     if (draining) {
-      ++s->result.events_routed;
-      ++s->result.events_lost;
-      if (s->obs != nullptr) {
-        s->obs->events_routed.Add();
-        s->obs->events_lost.Add();
-      }
+      s->CountLost();
       return;
     }
     if (s->Consume(event)) {
@@ -799,8 +728,58 @@ void ShardRuntime::ExecuteResize(std::vector<std::unique_ptr<ShardState>>* shard
   RecordResize(shards, old_live, new_live, seq, now, pause_us, result);
 }
 
-void ShardRuntime::Merge(std::vector<std::unique_ptr<ShardState>>* shards,
-                         ShardRunResult* result) const {
+std::vector<std::unique_ptr<ShardRuntime::ShardState>> ShardRuntime::MakeShards(
+    const ShedderFactory& make_shedder) {
+  const int total_shards = EffectiveMaxShards();
+  live_shards_ = opts_.num_shards;
+  if (opts_.metrics != nullptr) opts_.metrics->EnsureShards(total_shards);
+  std::vector<std::unique_ptr<ShardState>> shards;
+  shards.reserve(static_cast<size_t>(total_shards));
+  for (int i = 0; i < total_shards; ++i) {
+    auto s = std::make_unique<ShardState>(std::make_unique<Engine>(nfa_, opts_.engine),
+                                          opts_.latency);
+    s->slice_filter = opts_.routing == ShardRouting::kWindowSlice;
+    s->shard_id = i;
+    s->num_shards = opts_.num_shards;
+    s->slice_stride = SliceStride();
+    s->faults = RunFaults();
+    if (opts_.metrics != nullptr) {
+      s->obs = opts_.metrics->shard(i);
+      s->step.set_obs(s->obs, i);
+    }
+    if (make_shedder) s->shedder = make_shedder(i);
+    if (s->shedder != nullptr) {
+      s->shedder->Bind(s->engine.get());
+      if (s->obs != nullptr) s->shedder->set_obs(s->obs, i);
+      s->step.set_shedder(s->shedder.get());
+    }
+    if (opts_.guard.enabled) {
+      s->guard = std::make_unique<OverloadGuard>(opts_.guard);
+      s->guard->Attach(s->engine.get());
+      if (s->obs != nullptr) s->guard->set_obs(s->obs, i);
+      s->step.set_guard(s->guard.get());
+    }
+    shards.push_back(std::move(s));
+  }
+  if (Elastic() && opts_.metrics != nullptr) {
+    shards[0]->obs->live_shards.Set(live_shards_);
+  }
+  return shards;
+}
+
+Status ShardRuntime::Merge(std::vector<std::unique_ptr<ShardState>>* shards,
+                           ShardRunResult* result) const {
+  result->final_live_shards = live_shards_;
+  if (Elastic() && opts_.metrics != nullptr) {
+    // Post-run legacy-arena reading: chains migrated out of retired shards
+    // drain back into their home arenas as recipients expire them, so this
+    // is the value the soak harness bounds.
+    int64_t legacy = 0;
+    for (size_t i = static_cast<size_t>(live_shards_); i < shards->size(); ++i) {
+      legacy += static_cast<int64_t>((*shards)[i]->engine->store().arena().LiveBytes());
+    }
+    (*shards)[0]->obs->arena_legacy_bytes.Set(legacy);
+  }
   size_t total_matches = 0;
   for (std::unique_ptr<ShardState>& sp : *shards) {
     ShardState& s = *sp;
@@ -837,55 +816,28 @@ void ShardRuntime::Merge(std::vector<std::unique_ptr<ShardState>>* shards,
   });
   result->matches.reserve(keyed.size());
   for (const Keyed& k : keyed) result->matches.push_back(std::move(*k.match));
+  if (result->shards_abandoned >= live_shards_ && opts_.num_shards > 0 &&
+      result->total_events > 0) {
+    return Status::Unavailable(
+        "every shard worker died and exhausted its restart budget");
+  }
+  return Status::OK();
 }
 
 Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
                                          const ShedderFactory& make_shedder) {
   CEPSHED_RETURN_NOT_OK(ValidatePlan());
-  // An empty fault schedule costs nothing: the per-event hook stays null.
-  const FaultInjector* faults =
-      (opts_.faults != nullptr && !opts_.faults->empty()) ? opts_.faults : nullptr;
+  const FaultInjector* faults = RunFaults();
   // Elastic runs provision workers, queues, and metrics slots for the
   // maximum shard count up front; shards beyond the live count just park
   // in Pop on their empty queues until a grow routes to them (and after a
   // retire, until re-grown). Thread spawn never happens mid-stream.
-  const int total_shards = EffectiveMaxShards();
-  live_shards_ = opts_.num_shards;
-  std::vector<std::unique_ptr<ShardState>> shards;
-  shards.reserve(static_cast<size_t>(total_shards));
-  if (opts_.metrics != nullptr) {
-    opts_.metrics->EnsureShards(total_shards);
-  }
-  for (int i = 0; i < total_shards; ++i) {
-    auto s = std::make_unique<ShardState>(opts_.latency);
-    s->slice_filter = opts_.routing == ShardRouting::kWindowSlice;
-    s->shard_id = i;
-    s->num_shards = opts_.num_shards;
-    s->slice_stride = SliceStride();
-    s->faults = faults;
-    if (opts_.metrics != nullptr) s->obs = opts_.metrics->shard(i);
-    s->engine = std::make_unique<Engine>(nfa_, opts_.engine);
-    if (make_shedder) {
-      s->shedder = make_shedder(i);
-      if (s->shedder != nullptr) {
-        s->shedder->Bind(s->engine.get());
-        if (s->obs != nullptr) s->shedder->set_obs(s->obs, i);
-      }
-    }
-    if (opts_.guard.enabled) {
-      s->guard = std::make_unique<OverloadGuard>(opts_.guard);
-      s->guard->Attach(s->engine.get());
-      if (s->obs != nullptr) s->guard->set_obs(s->obs, i);
-    }
+  std::vector<std::unique_ptr<ShardState>> shards = MakeShards(make_shedder);
+  for (std::unique_ptr<ShardState>& s : shards) {
     s->queue = std::make_unique<RingQueue<EventPtr>>(opts_.queue_capacity);
-    shards.push_back(std::move(s));
+    s->step.set_queue(s->queue.get());
   }
-
   ShardRunResult result;
-  result.final_live_shards = live_shards_;
-  if (Elastic() && opts_.metrics != nullptr) {
-    shards[0]->obs->live_shards.Set(live_shards_);
-  }
   const auto t0 = std::chrono::steady_clock::now();
   for (std::unique_ptr<ShardState>& s : shards) {
     s->worker = std::thread(&ShardState::WorkerMain, s.get());
@@ -1039,68 +991,16 @@ Result<ShardRunResult> ShardRuntime::Run(const EventStream& stream,
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  result.final_live_shards = live_shards_;
-  if (Elastic() && opts_.metrics != nullptr) {
-    // Post-run legacy-arena reading: chains migrated out of retired shards
-    // drain back into their home arenas as recipients expire them, so this
-    // is the value the soak harness bounds.
-    int64_t legacy = 0;
-    for (size_t i = static_cast<size_t>(live_shards_); i < shards.size(); ++i) {
-      legacy += static_cast<int64_t>(shards[i]->engine->store().arena().LiveBytes());
-    }
-    shards[0]->obs->arena_legacy_bytes.Set(legacy);
-  }
-  Merge(&shards, &result);
-  if (result.shards_abandoned >= live_shards_ && opts_.num_shards > 0 &&
-      result.total_events > 0) {
-    return Status::Unavailable(
-        "every shard worker died and exhausted its restart budget");
-  }
+  CEPSHED_RETURN_NOT_OK(Merge(&shards, &result));
   return result;
 }
 
 Result<ShardRunResult> ShardRuntime::RunSequential(
     const EventStream& stream, const ShedderFactory& make_shedder) {
   CEPSHED_RETURN_NOT_OK(ValidatePlan());
-  const FaultInjector* faults =
-      (opts_.faults != nullptr && !opts_.faults->empty()) ? opts_.faults : nullptr;
-  const int total_shards = EffectiveMaxShards();
-  live_shards_ = opts_.num_shards;
-  std::vector<std::unique_ptr<ShardState>> shards;
-  shards.reserve(static_cast<size_t>(total_shards));
-  if (opts_.metrics != nullptr) {
-    opts_.metrics->EnsureShards(total_shards);
-  }
-  for (int i = 0; i < total_shards; ++i) {
-    auto s = std::make_unique<ShardState>(opts_.latency);
-    s->slice_filter = opts_.routing == ShardRouting::kWindowSlice;
-    s->shard_id = i;
-    s->num_shards = opts_.num_shards;
-    s->slice_stride = SliceStride();
-    s->faults = faults;
-    if (opts_.metrics != nullptr) s->obs = opts_.metrics->shard(i);
-    s->engine = std::make_unique<Engine>(nfa_, opts_.engine);
-    if (make_shedder) {
-      s->shedder = make_shedder(i);
-      if (s->shedder != nullptr) {
-        s->shedder->Bind(s->engine.get());
-        if (s->obs != nullptr) s->shedder->set_obs(s->obs, i);
-      }
-    }
-    if (opts_.guard.enabled) {
-      s->guard = std::make_unique<OverloadGuard>(opts_.guard);
-      s->guard->Attach(s->engine.get());
-      if (s->obs != nullptr) s->guard->set_obs(s->obs, i);
-    }
-    shards.push_back(std::move(s));
-  }
-
+  const FaultInjector* faults = RunFaults();
+  std::vector<std::unique_ptr<ShardState>> shards = MakeShards(make_shedder);
   ShardRunResult result;
-  result.final_live_shards = live_shards_;
-  if (Elastic() && opts_.metrics != nullptr) {
-    shards[0]->obs->live_shards.Set(live_shards_);
-  }
   const auto t0 = std::chrono::steady_clock::now();
   // Buffer each shard's substream in routing order — exactly the sequence
   // the parallel worker would pop from its queue. Saturation faults refuse
@@ -1124,12 +1024,7 @@ Result<ShardRunResult> ShardRuntime::RunSequential(
       for (size_t i = base; i < base + n; ++i) {
         const EventPtr& event = (*buffer)[i];
         if (s.seq_draining) {
-          ++s.result.events_routed;
-          ++s.result.events_lost;
-          if (s.obs != nullptr) {
-            s.obs->events_routed.Add();
-            s.obs->events_lost.Add();
-          }
+          s.CountLost();
           continue;
         }
         if (s.Consume(event)) {
@@ -1187,21 +1082,7 @@ Result<ShardRunResult> ShardRuntime::RunSequential(
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  result.final_live_shards = live_shards_;
-  if (Elastic() && opts_.metrics != nullptr) {
-    int64_t legacy = 0;
-    for (size_t i = static_cast<size_t>(live_shards_); i < shards.size(); ++i) {
-      legacy += static_cast<int64_t>(shards[i]->engine->store().arena().LiveBytes());
-    }
-    shards[0]->obs->arena_legacy_bytes.Set(legacy);
-  }
-  Merge(&shards, &result);
-  if (result.shards_abandoned >= live_shards_ && opts_.num_shards > 0 &&
-      result.total_events > 0) {
-    return Status::Unavailable(
-        "every shard worker died and exhausted its restart budget");
-  }
+  CEPSHED_RETURN_NOT_OK(Merge(&shards, &result));
   return result;
 }
 

@@ -1,12 +1,15 @@
 // Copyright (c) the CepShed authors. Licensed under the Apache License 2.0.
 //
 // Partition-parallel execution: events are routed to N shards, each shard
-// runs one thread-confined Engine (plus its own LatencyMonitor and
-// Shedder) behind a bounded ring queue, and the per-shard outputs are
-// merged deterministically. Because the paper's shedding functions rho_I /
-// rho_S and the cost model Gamma+/Gamma- are per-event and per-partial-
-// match, sharding changes no shedding semantics: each shard adapts its own
-// throttle against its own latency signal.
+// runs one thread-confined Engine behind a bounded ring queue, and the
+// per-shard outputs are merged deterministically. A shard feeds its events
+// through its own ShardStep (src/runtime/shard_step.h), the per-event step
+// every driver shares, with the shard's own latency monitor, shedder and
+// guard; the shard keeps only fault injection and the hand-off bookkeeping
+// around it. Because the paper's shedding functions rho_I / rho_S and the
+// cost model Gamma+/Gamma- are per-event and per-partial-match, sharding
+// changes no shedding semantics: each shard adapts its own throttle
+// against its own latency signal.
 //
 // Two routing modes:
 //  - kHashPartition: shard = hash(event[partition_attr]) % N. Exact (the
@@ -280,6 +283,9 @@ class ShardRuntime {
 
   Status ValidatePlan() const;
   Duration SliceStride() const;
+  /// The run's fault schedule, or null when it is empty: the per-event
+  /// hook then costs nothing.
+  const FaultInjector* RunFaults() const;
 
   /// True when this run may resize (dynamic controller or scripted
   /// `resize` fault entries).
@@ -324,10 +330,17 @@ class ShardRuntime {
   /// inline (this is its restart), honoring any further death faults.
   void FinishDeadShard(ShardState* s) const;
 
-  /// Merges per-shard matches/stats into `result` (sorts into the
-  /// deterministic total order, sums stats).
-  void Merge(std::vector<std::unique_ptr<ShardState>>* shards,
-             ShardRunResult* result) const;
+  /// Starts a run of either path: resets the live count and builds every
+  /// provisioned shard (EffectiveMaxShards) with its engine, shedder,
+  /// guard and obs slot wired into the shard's step. Run adds the queues.
+  std::vector<std::unique_ptr<ShardState>> MakeShards(
+      const ShedderFactory& make_shedder);
+  /// Ends a run of either path: merges per-shard matches/stats into
+  /// `result` (sorts into the deterministic total order, sums stats),
+  /// records the final live count and legacy-arena gauge, and fails with
+  /// Unavailable when every live shard was abandoned.
+  Status Merge(std::vector<std::unique_ptr<ShardState>>* shards,
+               ShardRunResult* result) const;
 
   std::shared_ptr<const Nfa> nfa_;
   ShardRuntimeOptions opts_;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "src/runtime/shard_step.h"
+
 namespace cepshed {
 
 ShedRunner::ShedRunner(Engine* engine, Shedder* shedder,
@@ -15,42 +17,19 @@ ShedRunner::ShedRunner(Engine* engine, Shedder* shedder,
 
 RunResult ShedRunner::Run(const EventStream& stream, size_t pm_sample_stride) {
   RunResult result;
-  LatencyMonitor monitor(latency_options_);
+  ShardStep step(engine_, latency_options_);
+  step.set_shedder(shedder_);
+  if (obs_ != nullptr) {
+    step.set_obs(obs_, obs_shard_);
+    shedder_->set_obs(obs_, obs_shard_);
+  }
   std::vector<double> latencies;
   latencies.reserve(stream.size());
 
-  if (obs_ != nullptr) shedder_->set_obs(obs_);
   const auto t0 = std::chrono::steady_clock::now();
   size_t since_sample = 0;
-  size_t matches_seen = 0;
   for (const EventPtr& event : stream) {
-    ++result.total_events;
-    double cost;
-    if (shedder_->FilterEvent(*event)) {
-      ++result.dropped_events;
-      cost = kDroppedEventCost;
-    } else {
-      cost = engine_->Process(event, &result.matches);
-      ++result.processed_events;
-      if (obs_ != nullptr) obs_->events_processed.Add();
-    }
-    if (obs_ != nullptr) {
-      obs_->events_routed.Add();
-      obs_->event_cost.Record(cost);
-      if (result.matches.size() != matches_seen) {
-        obs_->matches_emitted.Add(result.matches.size() - matches_seen);
-        matches_seen = result.matches.size();
-      }
-    }
-    monitor.Record(cost);
-    latencies.push_back(cost);
-    const double theta = shedder_->theta();
-    if (theta > 0.0 && monitor.Count() >= latency_options_.window) {
-      ++result.bound_checked;
-      if (monitor.Current() > theta) ++result.bound_violations;
-    }
-    shedder_->AfterEvent(event->timestamp(), monitor.Current());
-
+    latencies.push_back(step.Step(event, &result.matches).cost);
     if (pm_sample_stride > 0 && ++since_sample >= pm_sample_stride) {
       since_sample = 0;
       result.pm_series.push_back(engine_->NumPartialMatches() +
@@ -60,12 +39,17 @@ RunResult ShedRunner::Run(const EventStream& stream, size_t pm_sample_stride) {
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
+  result.total_events = stream.size();
+  result.dropped_events = step.events_dropped();
+  result.processed_events = step.events_processed();
+  result.bound_checked = step.bound_checked();
+  result.bound_violations = step.bound_violations();
   result.shed_pms = shedder_->pms_shed();
   result.pms_created = engine_->stats().pms_created + engine_->stats().witnesses_created;
   result.engine_stats = engine_->stats();
   result.pm_series_stride = pm_sample_stride;
 
-  result.avg_latency = monitor.OverallAverage();
+  result.avg_latency = step.monitor().OverallAverage();
   if (!latencies.empty()) {
     // One working copy for both quantiles. Ranks use the same sorted-index
     // convention as the obs log-histogram (HistogramSnapshot::Quantile):

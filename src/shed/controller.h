@@ -1,9 +1,12 @@
 // Copyright (c) the CepShed authors. Licensed under the Apache License 2.0.
 //
 // The shedding controller: drives one stream through an engine under a
-// shedding strategy, measuring per-event latency with the LatencyMonitor
-// and exposing the run's raw outcome. This is the runtime realization of
-// the paper's model f_Q(rho_I(S(k+1)), rho_S(P(k))).
+// shedding strategy and exposes the run's raw outcome. Each event goes
+// through a ShardStep (src/runtime/shard_step.h), the per-event step every
+// driver shares: the runtime realization of the paper's model
+// f_Q(rho_I(S(k+1)), rho_S(P(k))). The runner adds only what a single-
+// engine experiment needs on top: exact latency percentiles, the sampled
+// partial-match series and the wall clock.
 
 #ifndef CEPSHED_SHED_CONTROLLER_H_
 #define CEPSHED_SHED_CONTROLLER_H_
@@ -53,20 +56,20 @@ class ShedRunner {
   /// partial-match count every that-many events (Fig. 1's series).
   RunResult Run(const EventStream& stream, size_t pm_sample_stride = 0);
 
-  /// Work charged to the latency monitor for a dropped event ("a discarded
-  /// event is not processed at all" — only the filter runs).
-  static constexpr double kDroppedEventCost = 0.05;
-
   /// Attaches an observability sink (optional; not owned): the runner then
-  /// records per-event counters and the cost histogram, and wires the sink
-  /// into the shedder's drop/kill audit hooks.
-  void set_obs(obs::ShardObs* o) { obs_ = o; }
+  /// publishes the step's per-event series, and wires the sink into the
+  /// shedder's drop/kill audit hooks, whose entries carry `shard`.
+  void set_obs(obs::ShardObs* o, int shard = 0) {
+    obs_ = o;
+    obs_shard_ = shard;
+  }
 
  private:
   Engine* engine_;
   Shedder* shedder_;
   LatencyMonitor::Options latency_options_;
   obs::ShardObs* obs_ = nullptr;
+  int obs_shard_ = 0;
 };
 
 }  // namespace cepshed

@@ -415,9 +415,8 @@ ModelOwningShedder::ModelOwningShedder(std::unique_ptr<CostModel> model,
 void ModelOwningShedder::Bind(Engine* engine) {
   Shedder::Bind(engine);
   CostModel* model = model_.get();
-  // The same wiring ExperimentHarness::RunWith installs for model-backed
-  // strategies: the classifier stamps class labels onto partial matches,
-  // and the creation/match hooks feed online adaptation.
+  // The classifier stamps class labels onto partial matches, and the
+  // creation/match hooks feed online adaptation.
   engine->set_classifier(
       [model](const PartialMatch& pm) { return model->Classify(pm); });
   engine->set_pm_created_hook(

@@ -10,9 +10,9 @@
 
 #include "src/cep/engine.h"
 #include "src/cep/nfa.h"
-#include "src/runtime/latency_monitor.h"
 #include "src/runtime/overload_guard.h"
 #include "src/runtime/shard_runtime.h"
+#include "src/runtime/shard_step.h"
 #include "src/workload/ds1.h"
 #include "src/workload/lab/hostile.h"
 #include "src/workload/queries.h"
@@ -23,11 +23,12 @@ namespace lab {
 namespace {
 
 /// One long-lived shard: the whole point of the soak is that these survive
-/// across cycles.
+/// across cycles. The step drives the engine under the guard exactly as a
+/// runtime shard worker does.
 struct SoakShard {
   std::unique_ptr<Engine> engine;
   std::unique_ptr<OverloadGuard> guard;
-  LatencyMonitor monitor;
+  std::unique_ptr<ShardStep> step;
 };
 
 /// Gauge floors below which "slack * baseline" would be vacuously tight: a
@@ -212,6 +213,9 @@ Result<SoakReport> SoakRunner::Run() {
     shard.guard = std::make_unique<OverloadGuard>(g);
     shard.guard->Attach(shard.engine.get());
     shard.guard->set_obs(registry_.shard(s), s);
+    shard.step = std::make_unique<ShardStep>(shard.engine.get(), LatencyMonitor::Options{});
+    shard.step->set_guard(shard.guard.get());
+    shard.step->set_obs(registry_.shard(s), s);
   }
 
   SoakReport report;
@@ -250,40 +254,18 @@ Result<SoakReport> SoakRunner::Run() {
     for (const EventPtr& event : stream) {
       const int s = ShardRuntime::ShardOfKey(event->attr(id_attr), live);
       SoakShard& shard = shards[static_cast<size_t>(s)];
-      obs::ShardObs* obs = registry_.shard(s);
-      obs->events_routed.Add();
       ++stats.events;
-
-      if (shard.guard->ShouldDropInput(event->seq())) {
-        obs->events_dropped_guard.Add();
+      scratch.clear();
+      if (!shard.step->Step(event, &scratch).processed) {
         ++stats.guard_drops;
-        shard.guard->Observe(shard.monitor.Current(), 0, 0, event->timestamp());
         continue;
       }
-
-      scratch.clear();
-      const double cost = shard.engine->Process(event, &scratch);
-      shard.monitor.Record(cost);
-      obs->events_processed.Add();
-      obs->event_cost.Record(cost);
-      if (!scratch.empty()) {
-        obs->matches_emitted.Add(scratch.size());
-        stats.matches += scratch.size();
-      }
-      shard.guard->Observe(shard.monitor.Current(), 0, 0, event->timestamp());
-
+      stats.matches += scratch.size();
       const Engine& e = *shard.engine;
-      const size_t state = e.ApproxStateBytes();
-      const size_t live = e.store().arena().LiveBytes();
-      const size_t flat = e.FlatCacheSize();
-      obs->state_bytes.Set(static_cast<int64_t>(state));
-      obs->arena_live_bytes.Set(static_cast<int64_t>(live));
-      obs->arena_capacity_bytes.Set(
-          static_cast<int64_t>(e.store().arena().CapacityBytes()));
-      obs->flat_cache_entries.Set(static_cast<int64_t>(flat));
-      stats.state_bytes_peak = std::max(stats.state_bytes_peak, state);
-      stats.arena_live_bytes_peak = std::max(stats.arena_live_bytes_peak, live);
-      stats.flat_cache_peak = std::max(stats.flat_cache_peak, flat);
+      stats.state_bytes_peak = std::max(stats.state_bytes_peak, e.ApproxStateBytes());
+      stats.arena_live_bytes_peak =
+          std::max(stats.arena_live_bytes_peak, e.store().arena().LiveBytes());
+      stats.flat_cache_peak = std::max(stats.flat_cache_peak, e.FlatCacheSize());
     }
 
     // Watermark vacuum at the cycle boundary. Expiry is otherwise driven

@@ -12,10 +12,11 @@
 // hunting is state that survives *within* one long-lived engine: arena
 // capacity that ratchets up burst after burst, a flatten cache that never
 // sheds entries, partial matches pinned past their window. The runner
-// therefore owns one Engine + OverloadGuard + LatencyMonitor per shard for
-// its whole life, routes events with the runtime's own hash
-// (ShardRuntime::ShardOfKey), and chains each cycle's ts_origin after the
-// previous cycle's last timestamp so windows genuinely expire.
+// therefore owns one Engine + OverloadGuard per shard for its whole life,
+// drives each through the runtime's per-event step (ShardStep), routes
+// events with the runtime's own hash (ShardRuntime::ShardOfKey), and
+// chains each cycle's ts_origin after the previous cycle's last timestamp
+// so windows genuinely expire.
 //
 // Boundedness criterion: the first `warmup_cycles` cycles establish a
 // per-gauge baseline peak (warmup lets caches fill and the arena reach its

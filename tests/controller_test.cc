@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/runtime/shard_step.h"
 #include "src/shed/baselines.h"
 #include "src/shed/hybrid.h"
 #include "src/shed/offline_estimator.h"
@@ -63,7 +64,7 @@ TEST_F(ControllerTest, DroppedEventsCostAlmostNothing) {
   const RunResult r = runner.Run(MakeStream(2));
   EXPECT_EQ(r.dropped_events, r.total_events);
   EXPECT_EQ(r.processed_events, 0u);
-  EXPECT_LE(r.avg_latency, ShedRunner::kDroppedEventCost + 1e-9);
+  EXPECT_LE(r.avg_latency, ShardStep::kDroppedEventCost + 1e-9);
   EXPECT_TRUE(r.matches.empty());
 }
 

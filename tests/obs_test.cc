@@ -4,8 +4,9 @@
 // recording, quantile error bounds of the log-bucketed histogram, merge
 // associativity (merge == recording the union), audit-ring ordering,
 // wraparound and seqlock consistency under a concurrent reader (run under
-// TSan in CI), exporter output, and snapshot determinism of the sharded
-// runtime's parallel path against its sequential replay.
+// TSan in CI), exporter output, snapshot determinism of the sharded
+// runtime's parallel path against its sequential replay, and series parity
+// across the single-engine, sharded and multi-query drivers.
 
 #include <algorithm>
 #include <cmath>
@@ -19,7 +20,9 @@
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/scoped_timer.h"
+#include "src/runtime/multi_query.h"
 #include "src/runtime/shard_runtime.h"
+#include "src/shed/controller.h"
 #include "src/workload/ds1.h"
 #include "src/workload/queries.h"
 
@@ -341,6 +344,89 @@ TEST(ObsDeterminismTest, RunMatchesRunSequentialSnapshot) {
       EXPECT_EQ(p.audit[a].detail, s.audit[a].detail);
     }
   }
+}
+
+/// One stream through three drivers that each run one engine over every
+/// event: ShedRunner without shedding, a one-shard RunSequential, and a
+/// one-query MultiQueryRunner at theta 0. They share the per-event step,
+/// so every series it publishes must agree, the footprint gauges and the
+/// expiry-wheel counters included.
+TEST(ObsParityTest, EveryDriverPublishesTheSameSeries) {
+  const Schema schema = MakeDs1Schema();
+  Ds1Options gen;
+  gen.num_events = 8'000;
+  gen.seed = 33;
+  const EventStream stream = GenerateDs1(schema, gen);
+  const Query query = *queries::Q1();
+  auto nfa = Nfa::Compile(query, &schema);
+  ASSERT_TRUE(nfa.ok());
+
+  MetricsRegistry single(1);
+  {
+    Engine engine(*nfa, EngineOptions{});
+    NoShedder none;
+    ShedRunner runner(&engine, &none, LatencyMonitor::Options{});
+    runner.set_obs(single.shard(0));
+    runner.Run(stream);
+  }
+  MetricsRegistry sharded;
+  {
+    ShardRuntimeOptions opts;
+    opts.metrics = &sharded;
+    auto runtime = ShardRuntime::Create(*nfa, opts);
+    ASSERT_TRUE(runtime.ok());
+    ASSERT_TRUE((*runtime)->RunSequential(stream).ok());
+  }
+  MetricsRegistry multi;
+  {
+    Ds1Options train;
+    train.num_events = 2'000;
+    train.seed = 34;
+    MultiQueryRunner runner(&schema, {{query, 1.0}});
+    ASSERT_TRUE(runner.Prepare(GenerateDs1(schema, train)).ok());
+    runner.set_metrics(&multi);
+    ASSERT_TRUE(runner.Run(stream, 0.0).ok());
+  }
+
+  const ShardObsSnapshot s = single.Snapshot().shards.at(0);
+  const ShardObsSnapshot r = sharded.Snapshot().shards.at(0);
+  const ShardObsSnapshot m = multi.Snapshot().shards.at(0);
+  using Get = int64_t (*)(const ShardObsSnapshot&);
+  const struct {
+    const char* name;
+    Get get;
+  } kSeries[] = {
+      {"events_routed",
+       [](const ShardObsSnapshot& o) { return static_cast<int64_t>(o.events_routed); }},
+      {"events_processed",
+       [](const ShardObsSnapshot& o) { return static_cast<int64_t>(o.events_processed); }},
+      {"matches_emitted",
+       [](const ShardObsSnapshot& o) { return static_cast<int64_t>(o.matches_emitted); }},
+      {"event_cost",
+       [](const ShardObsSnapshot& o) { return static_cast<int64_t>(o.event_cost.count); }},
+      {"state_bytes", [](const ShardObsSnapshot& o) { return o.state_bytes; }},
+      {"arena_live_bytes", [](const ShardObsSnapshot& o) { return o.arena_live_bytes; }},
+      {"arena_capacity_bytes",
+       [](const ShardObsSnapshot& o) { return o.arena_capacity_bytes; }},
+      {"flat_cache_entries", [](const ShardObsSnapshot& o) { return o.flat_cache_entries; }},
+      {"wheel_entries", [](const ShardObsSnapshot& o) { return o.wheel_entries; }},
+      {"expiry_reaped",
+       [](const ShardObsSnapshot& o) { return static_cast<int64_t>(o.expiry_reaped); }},
+      {"wheel_cascades",
+       [](const ShardObsSnapshot& o) { return static_cast<int64_t>(o.wheel_cascades); }},
+  };
+  for (const auto& series : kSeries) {
+    EXPECT_EQ(series.get(s), series.get(r)) << series.name << ": ShedRunner vs runtime";
+    EXPECT_EQ(series.get(m), series.get(r)) << series.name << ": multi-query vs runtime";
+  }
+  EXPECT_EQ(s.event_cost.sum, r.event_cost.sum);
+  EXPECT_EQ(m.event_cost.sum, r.event_cost.sum);
+  EXPECT_EQ(s.event_cost.buckets, r.event_cost.buckets);
+  EXPECT_EQ(m.event_cost.buckets, r.event_cost.buckets);
+  // Not vacuous: the stream leaves live state and reaps expired matches.
+  EXPECT_GT(r.matches_emitted, 0u);
+  EXPECT_GT(r.state_bytes, 0);
+  EXPECT_GT(r.expiry_reaped, 0u);
 }
 
 }  // namespace

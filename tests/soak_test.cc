@@ -88,6 +88,25 @@ TEST(SoakTest, PersistentMetricsRegistrySeesWholeRun) {
   EXPECT_EQ(snap.total.matches_emitted, report->total_matches);
 }
 
+/// A guard drop charges the dropped-event cost to mu, as it does in the
+/// sharded runtime. Without that charge a shard whose guard escalates on
+/// latency keeps reading the mu of its last processed event, never cools,
+/// and drops every later event (846 of the 24 387 matches survive).
+TEST(SoakTest, GuardLatencyBoundRecoversInsteadOfLatching) {
+  SoakOptions options;
+  options.num_shards = 2;
+  options.cycles = 8;
+  options.events_per_cycle = 3000;
+  auto baseline = SoakRunner(options).Run();
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  options.guard_theta = 50.0;
+  auto latency_bound = SoakRunner(options).Run();
+  ASSERT_TRUE(latency_bound.ok()) << latency_bound.status().ToString();
+  ASSERT_GT(baseline->total_matches, 0u);
+  EXPECT_GE(4 * latency_bound->total_matches, baseline->total_matches)
+      << latency_bound->total_matches << " of " << baseline->total_matches;
+}
+
 TEST(SoakTest, WallLimitTruncates) {
   SoakOptions options = ShortOptions();
   options.wall_limit_seconds = 1e-9;  // cut after the first cycle
