@@ -210,27 +210,6 @@ void BM_PredicateEvalQ3(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateEvalQ3)->Arg(0)->Arg(1);
 
-/// End-to-end engine pair for the same toggle: the whole Q1 pipeline with
-/// the interpreter (Arg 0) vs. the VM (Arg 1).
-void BM_EngineQ1PredVm(benchmark::State& state) {
-  const Schema schema = MakeDs1Schema();
-  Ds1Options gen;
-  gen.num_events = 20000;
-  const EventStream stream = GenerateDs1(schema, gen);
-  auto nfa = Nfa::Compile(*queries::Q1("4ms"), &schema);
-  EngineOptions opts;
-  opts.use_pred_vm = state.range(0) != 0;
-  for (auto _ : state) {
-    Engine engine(*nfa, opts);
-    std::vector<Match> out;
-    for (const EventPtr& e : stream) engine.Process(e, &out);
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
-}
-BENCHMARK(BM_EngineQ1PredVm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 /// The Q1 engine loop driven through the per-event step every driver
 /// uses. With a null obs slot this is the metrics-off baseline of the
 /// record-path overhead gate; BM_EngineQ1Metrics runs the same step with a
@@ -347,217 +326,44 @@ BENCHMARK(BM_EngineKleeneClone)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-/// Expiry-path pair: Arg(0) finds expired matches with the O(live) window
-/// sweep, Arg(1) with the hierarchical timing wheel (deadline-ordered
-/// reaping, DESIGN.md §3.9). The workload is the wheel's target regime —
-/// Kleene state under a window spanning thousands of events, so the live
-/// set the scan arm walks every `evict_interval` events is ~100x larger
-/// than the handful of matches that actually expired in the stride. IDs
-/// repeat only a few times per window, keeping the hash-join probe work
-/// (identical in both arms) small relative to the sweeps. Kill sets,
-/// stats, and cost units are byte-identical by the parity contract
-/// (expiry_wheel_test/differential_test pin it; the bench aborts if the
-/// arms' emitted-match counts ever disagree), so the wall-clock ratio is
-/// pure sweep savings. scripts/check_expiry.py gates the ratio in CI.
-void BM_ExpirySweep(benchmark::State& state) {
-  const Schema schema = MakeDs1Schema();
-  const int id_attr = schema.AttributeIndex("ID");
-  const int v_attr = schema.AttributeIndex("V");
-  // 90% A (anchors + Kleene binds), 8% B (closers), 2% C; one event per
-  // microsecond against a 25ms window => the live set climbs past 40k
-  // matches while each sweep stride expires only a few hundred.
-  std::vector<EventPtr> stream;
-  const uint64_t kEvents = 30000;
-  const uint64_t kIdUniverse = 16384;
-  Rng rng(1234);
-  for (uint64_t s = 0; s < kEvents; ++s) {
-    const uint64_t roll = rng.Next() % 100;
-    const char* type = roll < 90 ? "A" : (roll < 98 ? "B" : "C");
-    std::vector<Value> attrs(schema.num_attributes());
-    attrs[static_cast<size_t>(id_attr)] =
-        Value(static_cast<int64_t>(rng.Next() % kIdUniverse));
-    attrs[static_cast<size_t>(v_attr)] = Value(static_cast<int64_t>(s % 10));
-    stream.push_back(std::make_shared<Event>(schema.EventTypeId(type),
-                                             static_cast<Timestamp>(s), s,
-                                             std::move(attrs)));
-  }
-  auto q = ParseQuery(
-      "PATTERN SEQ(A a, A+{1,2} b[], B c) "
-      "WHERE a.ID = b[i].ID AND a.ID = c.ID WITHIN 25ms");
-  auto nfa = Nfa::Compile(*q, &schema);
-  EngineOptions opts;
-  opts.use_expiry_wheel = state.range(0) != 0;
-  // Parity guard: both arms must emit the identical match count. The
-  // reference is computed once, from the scan arm's configuration.
-  static uint64_t expected_matches = 0;
-  if (expected_matches == 0) {
-    EngineOptions scan = opts;
-    scan.use_expiry_wheel = false;
-    Engine ref(*nfa, scan);
-    std::vector<Match> out;
-    for (const EventPtr& e : stream) ref.Process(e, &out);
-    expected_matches = ref.stats().matches_emitted;
-  }
-  for (auto _ : state) {
-    Engine engine(*nfa, opts);
-    std::vector<Match> out;
-    for (const EventPtr& e : stream) engine.Process(e, &out);
-    if (engine.stats().matches_emitted != expected_matches) {
-      state.SkipWithError("wheel/scan arms disagree on emitted matches");
-      break;
-    }
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
-}
-BENCHMARK(BM_ExpirySweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// Shared fixture for the ingest benches: a DS1 trace serialized to CSV
-/// once, plus the fused attr-vs-constant predicates of a literal filter
-/// prefix compiled over the DS1 schema. The paper queries themselves are
-/// join-only (every conjunct references two elements, so none fuse — see
-/// batch_ingest_test's PaperQ1 case); real traces are screened by literal
-/// predicates long before the joins, and that screening prefix is the
-/// shape both ingest arms evaluate.
-struct BatchIngestFixture {
-  struct FusedPred {
-    int prog;
-    PredVmModule::FusedAcSpec spec;
-  };
-
-  Schema schema;
-  std::string path;
+/// Ingest + engine pair over one DS1 trace serialized to CSV once. Arg(0)
+/// reads the whole file with ReadCsvMappedFile and feeds the engine event
+/// by event through Process; Arg(1) reads 256-event batches off
+/// MappedCsvReader::NextBatch and feeds them to ProcessBatch, whose column
+/// masks precompute the query's attr-vs-literal filters. The paper queries
+/// are join-only (none of their conjuncts fuse — see batch_ingest_test's
+/// PaperQ1 case), so the query carries the literal screening prefix real
+/// traces see. Results, stats, and cost units are identical in both arms
+/// (batch_ingest_test pins that); the ratio is the batch path's share of a
+/// full pipeline. Not gated.
+struct BatchPipelineFixture {
+  Schema schema = MakeDs1Schema();
+  std::string path = "/tmp/cepshed_bench_batch_ingest.csv";
   std::shared_ptr<const Nfa> nfa;
-  std::vector<FusedPred> preds;
   size_t num_events = 0;
 
-  BatchIngestFixture() : schema(MakeDs1Schema()) {
+  BatchPipelineFixture() {
     Ds1Options gen;
     gen.num_events = 50000;
     gen.event_gap = 10;
     gen.seed = 7;
     const EventStream stream = GenerateDs1(schema, gen);
     num_events = stream.size();
-    path = "/tmp/cepshed_bench_batch_ingest.csv";
     if (!WriteCsvFile(stream, path).ok()) std::abort();
     auto q = ParseQuery(
         "PATTERN SEQ(A a, B b) WHERE a.V > 3 AND a.V < 9 AND a.ID != 3 AND "
         "b.V >= 2 AND b.V <= 8 AND b.ID > 1 AND a.ID = b.ID WITHIN 2ms");
     nfa = *Nfa::Compile(*q, &schema);
-    const PredVmModule& module = *nfa->vm_module();
-    for (int s = 0; s < nfa->num_states(); ++s) {
-      for (const CompiledPredicate* cp : nfa->state(s).bind_preds) {
-        PredVmModule::FusedAcSpec spec;
-        if (cp->vm_program >= 0 &&
-            module.FusedAcProgram(cp->vm_program, &spec)) {
-          preds.push_back({cp->vm_program, spec});
-        }
-      }
-    }
-    if (preds.empty()) std::abort();
   }
 
-  static const BatchIngestFixture& Get() {
-    static BatchIngestFixture fixture;
+  static const BatchPipelineFixture& Get() {
+    static BatchPipelineFixture fixture;
     return fixture;
   }
 };
 
-/// The ingest+eval hot-path pair the CI gate enforces. Arg(0) is the
-/// classic front end: ReadCsvFile (istream, one line copy per row)
-/// followed by a per-event pred-VM evaluation of each fused filter
-/// predicate — exactly the work Engine::FillContext + EvalBool do per
-/// bind attempt. Arg(1) is the batched front end this measures: Mapped-
-/// CsvReader::NextBatch (zero-copy parse out of the mapping) followed by
-/// SoA column extraction and one typed compare loop per predicate — the
-/// same kernel shape Engine::BeginBatch uses for its batch masks (whose
-/// bit-for-bit agreement with EvalBool is pinned by batch_ingest_test;
-/// here the two arms' pass counts are asserted equal every iteration).
-/// Items processed = events, so the /1 : /0 items_per_second ratio is the
-/// ingest+eval speedup scripts/check_batch_ingest.py gates in CI.
-void BM_BatchIngest(benchmark::State& state) {
-  const BatchIngestFixture& f = BatchIngestFixture::Get();
-  const PredVmModule& module = *f.nfa->vm_module();
-  const bool batched = state.range(0) != 0;
-  const int num_attrs = static_cast<int>(f.schema.num_attributes());
-  uint64_t passed = 0;
-  for (auto _ : state) {
-    passed = 0;
-    if (batched) {
-      auto reader = MappedCsvReader::Open(f.schema, f.path);
-      if (!reader.ok()) std::abort();
-      std::vector<EventPtr> buf;
-      buf.reserve(256);
-      std::vector<int64_t> col;
-      std::vector<uint8_t> ok;
-      for (;;) {
-        buf.clear();
-        auto n = reader->NextBatch(256, &buf);
-        if (!n.ok()) std::abort();
-        if (*n == 0) break;
-        for (int attr = 0; attr < num_attrs; ++attr) {
-          col.resize(*n);
-          ok.resize(*n);
-          for (size_t i = 0; i < *n; ++i) {
-            const Value& v = buf[i]->attr(attr);
-            ok[i] = !v.is_null() && v.type() == ValueType::kInt;
-            col[i] = ok[i] ? v.AsInt() : 0;
-          }
-          for (const BatchIngestFixture::FusedPred& p : f.preds) {
-            if (p.spec.attr != attr) continue;
-            const int64_t k = p.spec.constant.i;
-            uint64_t acc = 0;
-            switch (p.spec.op) {
-              case CmpOp::kEq: for (size_t i = 0; i < *n; ++i) acc += ok[i] & (col[i] == k); break;
-              case CmpOp::kNe: for (size_t i = 0; i < *n; ++i) acc += ok[i] & (col[i] != k); break;
-              case CmpOp::kLt: for (size_t i = 0; i < *n; ++i) acc += ok[i] & (col[i] < k); break;
-              case CmpOp::kLe: for (size_t i = 0; i < *n; ++i) acc += ok[i] & (col[i] <= k); break;
-              case CmpOp::kGt: for (size_t i = 0; i < *n; ++i) acc += ok[i] & (col[i] > k); break;
-              case CmpOp::kGe: for (size_t i = 0; i < *n; ++i) acc += ok[i] & (col[i] >= k); break;
-            }
-            passed += acc;
-          }
-        }
-      }
-    } else {
-      auto stream = ReadCsvFile(f.schema, f.path);
-      if (!stream.ok()) std::abort();
-      PredVmContext vmc;
-      vmc.Prepare(module.num_loads());
-      EvalContext ctx;
-      ctx.num_elements = 2;
-      double cost = 0.0;
-      for (const EventPtr& e : *stream) {
-        ctx.current = e.get();
-        vmc.Invalidate();
-        for (const BatchIngestFixture::FusedPred& p : f.preds) {
-          ctx.current_elem = p.spec.elem;
-          passed += module.EvalBool(p.prog, ctx, &vmc, &cost) ? 1 : 0;
-        }
-      }
-    }
-    benchmark::DoNotOptimize(passed);
-  }
-  // Both arms must agree on every predicate outcome; a kernel that drifts
-  // from EvalBool semantics would otherwise post a fraudulent speedup.
-  static uint64_t expected_passed = 0;
-  if (expected_passed == 0) expected_passed = passed;
-  if (passed != expected_passed) std::abort();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.num_events));
-  state.counters["preds"] = static_cast<double>(f.preds.size());
-}
-BENCHMARK(BM_BatchIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// End-to-end companion (not gated): the same trace through the whole
-/// engine — ReadCsvFile + per-event Process vs. MappedCsvReader +
-/// ProcessBatch. Match-store and join work dominates here and is
-/// identical in both arms by the parity contract, so the ratio shows how
-/// much of the front-end win survives in a full pipeline rather than the
-/// kernel speedup itself.
 void BM_EngineBatchPipeline(benchmark::State& state) {
-  const BatchIngestFixture& f = BatchIngestFixture::Get();
+  const BatchPipelineFixture& f = BatchPipelineFixture::Get();
   const bool batched = state.range(0) != 0;
   size_t matches = 0;
   for (auto _ : state) {
@@ -576,7 +382,7 @@ void BM_EngineBatchPipeline(benchmark::State& state) {
         engine.ProcessBatch(buf.data(), *n, &out);
       }
     } else {
-      auto stream = ReadCsvFile(f.schema, f.path);
+      auto stream = ReadCsvMappedFile(f.schema, f.path);
       if (!stream.ok()) std::abort();
       for (const EventPtr& e : *stream) engine.Process(e, &out);
     }

@@ -29,14 +29,12 @@ Engine::Engine(std::shared_ptr<const Nfa> nfa, EngineOptions options)
                     (st.fill_index.build_expr != nullptr &&
                      st.fill_index.build_expr->HasAggregate());
   }
-  if (options_.use_pred_vm && nfa_->vm_module() != nullptr) {
+  if (nfa_->vm_module() != nullptr) {
     vm_ = nfa_->vm_module().get();
     vm_ctx_.Prepare(vm_->num_loads());
   }
-  store_.ConfigureExpiry(nfa_->window(), nfa_->query().count_window,
-                         options_.use_expiry_wheel);
-  strict_gen_enabled_ = options_.use_strict_gen_list &&
-                        nfa_->query().policy == SelectionPolicy::kStrictContiguity;
+  store_.ConfigureExpiry(nfa_->window(), nfa_->query().count_window);
+  strict_contiguity_ = nfa_->query().policy == SelectionPolicy::kStrictContiguity;
   BuildIndexLayout();
   BuildBatchPlan();
 }
@@ -542,7 +540,7 @@ void Engine::StorePending(std::vector<Match>* out, double* cost) {
       stored = store_.Add(std::move(pm));
       ++stats_.pms_created;
       IndexInsert(stored);
-      if (strict_gen_enabled_) strict_next_gen_.push_back(stored);
+      if (strict_contiguity_) strict_next_gen_.push_back(stored);
     }
     if (pm_created_hook_) pm_created_hook_(*stored, parent);
   }
@@ -579,34 +577,16 @@ double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
 
   if (++events_since_evict_ >= options_.evict_interval) {
     events_since_evict_ = 0;
-    // Cost parity: whichever mechanism finds the expired matches, the
-    // sweep is booked as the state-size-proportional maintenance the cost
-    // model charges — per_sweep_scan for every live match, taken from the
-    // O(1) live counters. The wheel changes how the expired set is found
-    // (O(expired) instead of O(live)), never what is killed, when, or
-    // what is accounted (DESIGN.md §3.9).
+    // The sweep is booked as the state-size-proportional maintenance the
+    // cost model charges — per_sweep_scan for every live match, taken from
+    // the O(1) live counters — although the wheel finds the expired set in
+    // O(expired) (DESIGN.md §3.9).
     const size_t scanned = store_.NumAlive() + store_.NumAliveWitnesses();
     cost += options_.costs.per_sweep_scan * static_cast<double>(scanned);
-    size_t evicted = 0;
-    if (store_.wheel_enabled()) {
-      evicted = store_.ReapExpired(now, seq);
-    } else if (count_window > 0) {
-      auto sweep = [&](PartialMatch* pm) {
-        if (pm->ExpiredByCount(seq, count_window)) {
-          store_.Kill(pm);
-          ++evicted;
-        }
-      };
-      store_.ForEachAlive(sweep);
-      store_.ForEachAliveWitness(sweep);
-    } else {
-      evicted = store_.EvictExpired(now, window);
-    }
+    const size_t evicted = store_.ReapExpired(now, seq);
     stats_.pms_evicted += evicted;
     cost += options_.costs.per_eviction * static_cast<double>(evicted);
-    const size_t dead =
-        store_.NumDead();
-    if (dead >= options_.compact_min_dead &&
+    if (store_.NumDead() >= options_.compact_min_dead &&
         store_.DeadFraction() >= options_.compact_dead_fraction) {
       store_.Compact();
       RebuildIndexes();
@@ -697,24 +677,16 @@ double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
   if (policy == SelectionPolicy::kStrictContiguity) {
     // Strict contiguity: a stored match survives only if this very event
     // extended it (its newest clone carries the event's sequence number);
-    // everything older dies.
-    if (strict_gen_enabled_) {
-      // The previous generation is exactly the live set the full scan
-      // would walk (every older generation already died here), so killing
-      // off the list is the same kill set at O(generation) instead of
-      // O(live store incl. tombstones).
-      for (PartialMatch* pm : strict_gen_) {
-        if (pm->alive && pm->LastEvent()->seq() != event->seq()) {
-          store_.Kill(pm);
-        }
+    // everything older dies. The previous generation is the whole live
+    // regular set (every older generation already died here), so the kill
+    // walks that list in O(generation), not the store.
+    for (PartialMatch* pm : strict_gen_) {
+      if (pm->alive && pm->LastEvent()->seq() != event->seq()) {
+        store_.Kill(pm);
       }
-      strict_gen_.swap(strict_next_gen_);
-      strict_next_gen_.clear();
-    } else {
-      store_.ForEachAlive([&](PartialMatch* pm) {
-        if (pm->LastEvent()->seq() != event->seq()) store_.Kill(pm);
-      });
     }
+    strict_gen_.swap(strict_next_gen_);
+    strict_next_gen_.clear();
   }
 
   ++stats_.events_processed;
@@ -726,27 +698,9 @@ double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
 }
 
 void Engine::Vacuum(Timestamp now) {
-  // Mirror the per-event sweep's window semantics. Count-window queries
-  // alias `window()` to the count, so the time-based EvictExpired would
-  // misread the count as a duration and evict matches that are still
-  // inside the count window (or keep ones that are out of it).
-  const uint64_t count_window = nfa_->query().count_window;
-  size_t evicted = 0;
-  if (store_.wheel_enabled()) {
-    evicted = store_.ReapExpired(now, last_seq_);
-  } else if (count_window > 0) {
-    auto sweep = [&](PartialMatch* pm) {
-      if (pm->ExpiredByCount(last_seq_, count_window)) {
-        store_.Kill(pm);
-        ++evicted;
-      }
-    };
-    store_.ForEachAlive(sweep);
-    store_.ForEachAliveWitness(sweep);
-  } else {
-    evicted = store_.EvictExpired(now, nfa_->window());
-  }
-  stats_.pms_evicted += evicted;
+  // The same reap as the per-event sweep: count-window queries expire by
+  // the latest processed sequence number, time-window queries by `now`.
+  stats_.pms_evicted += store_.ReapExpired(now, last_seq_);
   // No tombstones means compaction would move nothing and the rebuild
   // would recreate the indexes it just tore down; stored-match pointers
   // (and the indexes into them) survive a vacuous Vacuum untouched.
@@ -884,7 +838,7 @@ void Engine::RebuildIndexes() {
   // Under strict contiguity the live regulars are exactly the previous
   // generation, so content is preserved; order becomes bucket order,
   // which only permutes kill order within one event's reap.
-  if (strict_gen_enabled_) {
+  if (strict_contiguity_) {
     strict_gen_.clear();
     for (int s = 0; s < store_.num_states(); ++s) {
       for (auto& pm : store_.bucket(s)) {

@@ -52,25 +52,9 @@ struct EngineOptions {
   /// attribute values only, and several experiments depend on expression
   /// predicates being evaluated per candidate match.
   bool index_expression_keys = false;
-  /// Evaluate compiled-bytecode predicates (src/cep/pred_vm.h) instead of
-  /// walking the Expr tree. Semantics and accounted cost units are
-  /// identical (fuzzed in expr_vm_test); predicates the compiler refuses
-  /// (aggregates) fall back to the interpreter per predicate either way.
-  bool use_pred_vm = true;
-  /// Events between window-expiry sweeps.
+  /// Events between window-expiry sweeps. A sweep reaps the expired
+  /// matches off the store's timing wheel in O(expired) (DESIGN.md §3.9).
   int evict_interval = 64;
-  /// Find expired matches through the store's hierarchical timing wheel —
-  /// O(expired) per sweep — instead of scanning every live match
-  /// (DESIGN.md §3.9). Kill timing, stats, and cost units are identical
-  /// to the scan path (the sweep still books per_sweep_scan for every
-  /// live match, from the O(1) live counters); the differential harness
-  /// pins wheel-vs-scan byte equality. The scan path is retained for
-  /// exactly that pinning.
-  bool use_expiry_wheel = true;
-  /// Strict contiguity: kill non-survivors off the last-extended
-  /// generation list instead of scanning every live match per event.
-  /// Same kill set as the scan, differentially pinned like the wheel.
-  bool use_strict_gen_list = true;
   /// Compact the store once this fraction of entries is dead...
   double compact_dead_fraction = 0.25;
   /// ...and at least this many entries are dead.
@@ -349,9 +333,10 @@ class Engine {
   /// count-window expiry with the same semantics as the per-event sweep.
   uint64_t last_seq_ = 0;
   EvalContext ctx_;
-  /// Compiled predicate programs (null when use_pred_vm is off); owned by
-  /// the shared Nfa. The register file vm_ctx_ is per-engine mutable state,
-  /// invalidated whenever ctx_ changes.
+  /// Compiled predicate programs (null only if no predicate compiled);
+  /// owned by the shared Nfa. Predicates the compiler refuses (aggregates)
+  /// run on the Expr interpreter. The register file vm_ctx_ is per-engine
+  /// mutable state, invalidated whenever ctx_ changes.
   const PredVmModule* vm_ = nullptr;
   PredVmContext vm_ctx_;
   /// True when the query contains an aggregate predicate: evaluation then
@@ -375,15 +360,15 @@ class Engine {
   /// comparison against ctx_.current (never dereferenced after
   /// ComputeBatchMasks returns), so the caller's buffer may recycle the
   /// EventPtrs while a batch is still active.
-  /// Strict-contiguity generation tracking (options_.use_strict_gen_list):
-  /// strict_gen_ holds every regular match stored by the previous event
-  /// (possibly tombstoned since by shedders — the kill loop checks the
-  /// flag), which under strict contiguity is exactly the live set the
-  /// post-event scan would walk. strict_next_gen_ collects this event's
-  /// stored matches and becomes the next generation. Raw pointers are kept
-  /// valid by rebuilding the list wherever indexes are rebuilt (the same
-  /// compaction events that invalidate index pointers invalidate these).
-  bool strict_gen_enabled_ = false;
+  /// Strict-contiguity generation tracking: strict_gen_ holds every
+  /// regular match stored by the previous event (possibly tombstoned since
+  /// by shedders — the kill loop checks the flag), which under strict
+  /// contiguity is exactly the live regular set. strict_next_gen_ collects
+  /// this event's stored matches and becomes the next generation. Raw
+  /// pointers are kept valid by rebuilding the list wherever indexes are
+  /// rebuilt (the same compaction events that invalidate index pointers
+  /// invalidate these).
+  bool strict_contiguity_ = false;
   std::vector<PartialMatch*> strict_gen_;
   std::vector<PartialMatch*> strict_next_gen_;
   /// Distinct probe attributes of enabled indexes, and the per-event

@@ -117,8 +117,6 @@ class Nfa {
   const Schema& schema() const { return *schema_; }
   Duration window() const { return query_.window; }
 
-  /// Positive slot of a pattern element (-1 for negated components).
-  int SlotOfElem(int elem) const { return slot_of_elem_[static_cast<size_t>(elem)]; }
   /// Pattern element of a positive slot.
   int ElemOfSlot(int slot) const { return states_[static_cast<size_t>(slot)].pattern_elem; }
 

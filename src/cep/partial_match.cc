@@ -156,12 +156,10 @@ PartialMatchStore::PartialMatchStore(int num_states, int num_elements)
     : buckets_(static_cast<size_t>(num_states)),
       witness_buckets_(static_cast<size_t>(num_elements)) {}
 
-void PartialMatchStore::ConfigureExpiry(Duration window, uint64_t count_window,
-                                        bool use_wheel) {
+void PartialMatchStore::ConfigureExpiry(Duration window, uint64_t count_window) {
   assert(num_alive_ + num_alive_witnesses_ == 0);
   expiry_window_ = window;
   expiry_count_window_ = count_window;
-  wheel_enabled_ = use_wheel;
 }
 
 uint64_t PartialMatchStore::DeadlineKey(const PartialMatch& pm) const {
@@ -171,7 +169,7 @@ uint64_t PartialMatchStore::DeadlineKey(const PartialMatch& pm) const {
                                    : deadline;  // saturate
   }
   // Saturating start_ts + window: a deadline past the representable range
-  // simply never comes due, matching the scan path's `now - start > w`.
+  // simply never comes due, matching Expired's `now - start > w`.
   constexpr Timestamp kMaxTs = std::numeric_limits<Timestamp>::max();
   const Timestamp deadline =
       (expiry_window_ >= 0 && pm.start_ts > kMaxTs - expiry_window_)
@@ -181,7 +179,6 @@ uint64_t PartialMatchStore::DeadlineKey(const PartialMatch& pm) const {
 }
 
 size_t PartialMatchStore::ReapExpired(Timestamp now, uint64_t seq) {
-  assert(wheel_enabled_);
   const uint64_t threshold = expiry_count_window_ > 0 ? seq : TimeKey(now);
   reap_scratch_.clear();
   const size_t reaped = wheel_.Reap(threshold, &reap_scratch_);
@@ -196,7 +193,7 @@ PartialMatch* PartialMatchStore::Add(std::unique_ptr<PartialMatch> pm) {
   fixed_live_bytes_ += FixedBytes(*pm);
   buckets_[static_cast<size_t>(pm->state)].push_back(std::move(pm));
   ++num_alive_;
-  if (wheel_enabled_) wheel_.Enqueue(raw, DeadlineKey(*raw));
+  wheel_.Enqueue(raw, DeadlineKey(*raw));
   return raw;
 }
 
@@ -206,13 +203,13 @@ PartialMatch* PartialMatchStore::AddWitness(std::unique_ptr<PartialMatch> pm) {
   fixed_live_bytes_ += FixedBytes(*pm);
   witness_buckets_[static_cast<size_t>(pm->negated_elem)].push_back(std::move(pm));
   ++num_alive_witnesses_;
-  if (wheel_enabled_) wheel_.Enqueue(raw, DeadlineKey(*raw));
+  wheel_.Enqueue(raw, DeadlineKey(*raw));
   return raw;
 }
 
 void PartialMatchStore::Kill(PartialMatch* pm) {
   if (!pm->alive) return;
-  if (wheel_enabled_) wheel_.Unlink(pm);
+  wheel_.Unlink(pm);
   pm->alive = false;
   ++num_dead_;
   const size_t bytes = FixedBytes(*pm);
@@ -226,21 +223,6 @@ void PartialMatchStore::Kill(PartialMatch* pm) {
   } else {
     --num_alive_;
   }
-}
-
-size_t PartialMatchStore::EvictExpired(Timestamp now, Duration window) {
-  size_t evicted = 0;
-  auto sweep = [&](Bucket& bucket) {
-    for (auto& pm : bucket) {
-      if (pm->alive && pm->Expired(now, window)) {
-        Kill(pm.get());
-        ++evicted;
-      }
-    }
-  };
-  for (auto& bucket : buckets_) sweep(bucket);
-  for (auto& bucket : witness_buckets_) sweep(bucket);
-  return evicted;
 }
 
 void PartialMatchStore::ForEachAlive(const std::function<void(PartialMatch*)>& fn) {
@@ -303,14 +285,6 @@ void PartialMatchStore::PruneForeignArenas() {
   foreign_arenas_.resize(keep);
 }
 
-size_t PartialMatchStore::ForeignArenaLiveBytes() const {
-  size_t bytes = 0;
-  for (const std::shared_ptr<BindingArena>& a : foreign_arenas_) {
-    bytes += a->LiveBytes();
-  }
-  return bytes;
-}
-
 void PartialMatchStore::ExtractIf(
     const std::function<bool(const PartialMatch&)>& pred,
     std::vector<std::unique_ptr<PartialMatch>>* regulars,
@@ -322,7 +296,7 @@ void PartialMatchStore::ExtractIf(
       if (pm->alive && pred(*pm)) {
         // The match leaves this store's jurisdiction; the adopter's
         // Add/AddWitness re-enqueues it on its own wheel in donor order.
-        if (wheel_enabled_) wheel_.Unlink(pm.get());
+        wheel_.Unlink(pm.get());
         const size_t bytes = FixedBytes(*pm);
         fixed_live_bytes_ -= bytes <= fixed_live_bytes_ ? bytes : fixed_live_bytes_;
         if (witness_bucket) {

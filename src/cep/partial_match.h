@@ -372,9 +372,9 @@ struct PartialMatch {
 /// correctness authority (multi-revolution jumps alias slots).
 ///
 /// Out-of-order timestamps park entries whose deadline is already behind
-/// the wheel on an overdue list that every reap rechecks, mirroring the
-/// scan path's behavior of evicting them at the next sweep whose `now`
-/// passes the deadline. The wheel's clock never moves backwards.
+/// the wheel on an overdue list that every reap rechecks, so they die at
+/// the first sweep whose `now` passes the deadline, as
+/// PartialMatch::Expired defines. The wheel's clock never moves backwards.
 class ExpiryWheel {
  public:
   static constexpr int kLevels = 8;
@@ -463,12 +463,6 @@ class PartialMatchStore {
   /// reference; pruning here only releases this store's lifetime pin.
   void PruneForeignArenas();
 
-  /// Live/capacity bytes in adopted foreign arenas still pinned by this
-  /// store. Diagnostic only — live bytes are *reported* by each arena's
-  /// home store (see LiveBytes), so summing gauges across shards stays
-  /// duplicate-free.
-  size_t ForeignArenaLiveBytes() const;
-  size_t num_foreign_arenas() const { return foreign_arenas_.size(); }
   const std::vector<std::shared_ptr<BindingArena>>& foreign_arenas() const {
     return foreign_arenas_;
   }
@@ -547,35 +541,29 @@ class PartialMatchStore {
     return fixed_live_bytes_ + arena_->LiveBytes();
   }
 
-  /// Tombstones every live match (regular and witness) whose window has
-  /// elapsed at `now`; returns the number evicted.
-  size_t EvictExpired(Timestamp now, Duration window);
-
   /// \name Deadline-ordered expiry (DESIGN.md §3.9)
   ///
   /// A match's deadline is fixed at creation: start_ts + window for time
-  /// windows, start_seq + count_window for count windows. Once configured
-  /// with use_wheel, every Add/AddWitness enqueues the match on the
-  /// hierarchical timing wheel and ReapExpired kills exactly the set a
-  /// full scan (EvictExpired / an ExpiredByCount sweep) would kill — in
-  /// O(expired) instead of O(live). Kill, ExtractIf, and Clear keep the
-  /// wheel consistent, so matches shed or migrated out from under it are
-  /// simply no longer there to reap.
+  /// windows, start_seq + count_window for count windows. Every
+  /// Add/AddWitness enqueues the match on the hierarchical timing wheel,
+  /// and ReapExpired kills exactly the live matches for which
+  /// PartialMatch::Expired / ExpiredByCount holds — in O(expired) instead
+  /// of O(live). Kill, ExtractIf, and Clear keep the wheel consistent, so
+  /// matches shed or migrated out from under it are simply no longer there
+  /// to reap.
   ///@{
-  /// Fixes the window semantics and enables (or disables) the wheel.
-  /// Call before the first Add; typically once, at engine construction.
-  void ConfigureExpiry(Duration window, uint64_t count_window, bool use_wheel);
-  bool wheel_enabled() const { return wheel_enabled_; }
+  /// Fixes the window semantics (a zero time window until called). Call
+  /// before the first Add; typically once, at engine construction.
+  void ConfigureExpiry(Duration window, uint64_t count_window);
   /// Kills every live match whose window has elapsed at time `now` /
   /// stream position `seq` (whichever the configured window mode uses);
-  /// returns the number killed. Requires wheel_enabled().
+  /// returns the number killed.
   size_t ReapExpired(Timestamp now, uint64_t seq);
   /// Matches killed by ReapExpired since construction (monotone).
   uint64_t ExpiryReapedTotal() const { return expiry_reaped_total_; }
   /// Cascade re-placements performed by the wheel (monotone).
   uint64_t WheelCascadesTotal() const { return wheel_.cascades(); }
-  /// Matches currently queued on the wheel (== live matches + witnesses
-  /// when the wheel is enabled).
+  /// Matches currently queued on the wheel (== live matches + witnesses).
   size_t WheelEntries() const { return wheel_.entries(); }
   /// The deadline key of one match under the configured window mode
   /// (exposed for tests; monotone in expiry order).
@@ -617,7 +605,6 @@ class PartialMatchStore {
   size_t fixed_live_bytes_ = 0;
   /// Deadline-ordered expiry state (see ConfigureExpiry).
   ExpiryWheel wheel_;
-  bool wheel_enabled_ = false;
   Duration expiry_window_ = 0;
   uint64_t expiry_count_window_ = 0;
   uint64_t expiry_reaped_total_ = 0;

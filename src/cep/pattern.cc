@@ -57,13 +57,6 @@ Status Query::Validate(const Schema& schema) {
   return Status::OK();
 }
 
-int Query::ElemIndex(const std::string& variable) const {
-  for (size_t i = 0; i < elements.size(); ++i) {
-    if (elements[i].variable == variable) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 int Query::NumPositiveElements() const {
   int n = 0;
   for (const auto& el : elements) {

@@ -74,9 +74,6 @@ struct Query {
   /// against `schema` (idempotent per predicate: call once).
   Status Validate(const Schema& schema);
 
-  /// Index of the element binding `variable`, or -1.
-  int ElemIndex(const std::string& variable) const;
-
   /// Number of non-negated components.
   int NumPositiveElements() const;
 

@@ -26,12 +26,4 @@ EventStream EventStream::Prefix(size_t k) const {
   return out;
 }
 
-size_t EventStream::CountType(int type) const {
-  size_t n = 0;
-  for (const auto& e : events_) {
-    if (e->type() == type) ++n;
-  }
-  return n;
-}
-
 }  // namespace cepshed

@@ -49,9 +49,6 @@ class EventStream {
   /// same event objects.
   EventStream Prefix(size_t k) const;
 
-  /// Counts the events of the given type id.
-  size_t CountType(int type) const;
-
  private:
   const Schema* schema_;
   std::vector<EventPtr> events_;

@@ -122,13 +122,6 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-void Rng::Shuffle(std::vector<size_t>* indices) {
-  for (size_t i = indices->size(); i > 1; --i) {
-    const size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
-    std::swap((*indices)[i - 1], (*indices)[j]);
-  }
-}
-
 Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace cepshed

@@ -53,9 +53,6 @@ class Rng {
   /// Requires a non-empty vector with non-negative entries and positive sum.
   size_t Categorical(const std::vector<double>& weights);
 
-  /// Fisher-Yates shuffles the given indices in place.
-  void Shuffle(std::vector<size_t>* indices);
-
   /// Derives an independent child generator (for parallel substreams).
   Rng Fork();
 

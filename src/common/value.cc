@@ -8,20 +8,6 @@
 
 namespace cepshed {
 
-const char* ValueTypeName(ValueType type) {
-  switch (type) {
-    case ValueType::kNull:
-      return "null";
-    case ValueType::kInt:
-      return "int";
-    case ValueType::kDouble:
-      return "double";
-    case ValueType::kString:
-      return "string";
-  }
-  return "unknown";
-}
-
 double Value::ToDouble() const {
   switch (type()) {
     case ValueType::kInt:

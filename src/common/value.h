@@ -20,9 +20,6 @@ enum class ValueType : int {
   kString = 3,
 };
 
-/// \brief Returns a short human-readable name for a ValueType.
-const char* ValueTypeName(ValueType type);
-
 /// \brief A dynamically typed attribute value: null, int64, double, or string.
 ///
 /// Numeric comparisons and arithmetic promote int to double where needed.

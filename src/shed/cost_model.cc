@@ -439,11 +439,4 @@ void CostModel::MaybeFold(Timestamp now, Engine* engine) {
   created_inc_.Clear();
 }
 
-std::vector<int> CostModel::ChosenClusterCounts() const {
-  std::vector<int> out;
-  out.reserve(states_.size());
-  for (const auto& sm : states_) out.push_back(static_cast<int>(sm.num_classes));
-  return out;
-}
-
 }  // namespace cepshed

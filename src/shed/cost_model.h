@@ -13,9 +13,8 @@
 // The consumption side Gamma- is measured in the abstract work units that
 // Expr::Eval accumulates. The predicate bytecode VM (src/cep/pred_vm.h)
 // charges exactly the same units on every path — that parity is a hard
-// contract (fuzzed in tests/expr_vm_test.cc), so estimates trained with
-// either evaluator stay valid under the other and the Fig. 11 Omega
-// ablation is unaffected by EngineOptions::use_pred_vm.
+// contract (fuzzed in tests/expr_vm_test.cc), so the Fig. 11 Omega
+// ablation does not depend on which predicates the VM compiles.
 
 #ifndef CEPSHED_SHED_COST_MODEL_H_
 #define CEPSHED_SHED_COST_MODEL_H_
@@ -133,8 +132,6 @@ class CostModel {
 
   /// Seconds spent in Train (the paper reports 0.75 - 4.5 s).
   double train_seconds() const { return train_seconds_; }
-  /// Chosen cluster count per state (diagnostics).
-  std::vector<int> ChosenClusterCounts() const;
   /// Match-partition tree accessor (diagnostics/tests).
   const RegressionTree& pm_tree(int state) const {
     return states_[static_cast<size_t>(state)].pm_tree;

@@ -12,10 +12,9 @@
 // shares). No other consumer replays the stream again.
 //
 // Omega is denominated in Expr::Eval's abstract work units. The replay
-// engine may evaluate predicates through the bytecode VM
-// (EngineOptions::use_pred_vm, on by default); the VM charges identical
-// units by contract, so estimates recorded here transfer to production
-// engines regardless of which evaluator either side runs.
+// engine evaluates predicates through the bytecode VM, and through the
+// interpreter only for aggregates; the VM charges identical units by
+// contract, so an estimate does not depend on which evaluator ran.
 
 #ifndef CEPSHED_SHED_OFFLINE_ESTIMATOR_H_
 #define CEPSHED_SHED_OFFLINE_ESTIMATOR_H_

@@ -71,12 +71,4 @@ EventStream GenerateCitibike(const Schema& schema, const CitibikeOptions& option
   return stream;
 }
 
-Result<EventStream> LoadCitibikeCsv(const Schema& schema, const std::string& path,
-                                    CsvReadStats* stats) {
-  CsvReadOptions options;
-  options.lenient = true;
-  return ReadCsvFile(schema, path, options, stats);
-}
-
-
 }  // namespace cepshed

@@ -16,12 +16,9 @@
 #ifndef CEPSHED_WORKLOAD_CITIBIKE_H_
 #define CEPSHED_WORKLOAD_CITIBIKE_H_
 
-#include <string>
-
 #include "src/cep/schema.h"
 #include "src/cep/stream.h"
 #include "src/common/rng.h"
-#include "src/workload/csv.h"
 
 namespace cepshed {
 
@@ -58,14 +55,6 @@ struct CitibikeOptions {
 
 /// Generates a synthetic citibike trip stream.
 EventStream GenerateCitibike(const Schema& schema, const CitibikeOptions& options);
-
-/// Loads a real citibike trip export (WriteCsv layout over
-/// MakeCitibikeSchema()) leniently: malformed rows — wrong arity, garbled
-/// numbers, out-of-order timestamps — are skipped and counted in *stats
-/// (may be null) instead of failing the load. `schema` must outlive the
-/// returned stream.
-Result<EventStream> LoadCitibikeCsv(const Schema& schema, const std::string& path,
-                                    CsvReadStats* stats = nullptr);
 
 }  // namespace cepshed
 

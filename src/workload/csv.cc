@@ -4,28 +4,38 @@
 
 #include <fstream>
 #include <string_view>
-#include <vector>
 
-#include "src/workload/csv_cursor.h"
+#include "src/workload/csv_mmap.h"
 
 namespace cepshed {
 
 namespace {
 
 /// Writes one cell, quoting RFC-4180-style when the text contains a
-/// comma, quote, or line break (doubled quotes escape embedded quotes).
-/// Plain cells — every numeric cell, and most names — go out verbatim.
-void WriteCsvCell(std::string_view cell, std::ostream* out) {
-  if (cell.find_first_of(",\"\n\r") == std::string_view::npos) {
+/// comma, quote, or carriage return (doubled quotes escape embedded
+/// quotes). Plain cells — every numeric cell, and most names — go out
+/// verbatim. A cell containing '\n' is refused (returns false, writes
+/// nothing): the reader would split the row there.
+bool WriteCsvCell(std::string_view cell, std::ostream* out) {
+  const size_t special = cell.find_first_of(",\"\n\r");
+  if (special == std::string_view::npos) {
     *out << cell;
-    return;
+    return true;
   }
+  if (cell.find('\n', special) != std::string_view::npos) return false;
   out->put('"');
   for (const char ch : cell) {
     if (ch == '"') out->put('"');
     out->put(ch);
   }
   out->put('"');
+  return true;
+}
+
+Status LineBreakError(const std::string& where, const std::string& what) {
+  return Status::InvalidArgument(where + ": " + what +
+                                 " contains a line break, which a CSV row "
+                                 "cannot carry");
 }
 
 }  // namespace
@@ -35,18 +45,26 @@ Status WriteCsv(const EventStream& stream, std::ostream* out) {
   *out << "type,timestamp";
   for (size_t a = 0; a < schema.num_attributes(); ++a) {
     *out << ",";
-    WriteCsvCell(schema.attribute(static_cast<int>(a)).name, out);
+    if (!WriteCsvCell(schema.attribute(static_cast<int>(a)).name, out)) {
+      return LineBreakError("header", "attribute " + std::to_string(a) + "'s name");
+    }
   }
   *out << "\n";
-  for (const EventPtr& e : stream) {
-    WriteCsvCell(schema.EventTypeName(e->type()), out);
-    *out << "," << e->timestamp();
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const Event& e = *stream[i];
+    if (!WriteCsvCell(schema.EventTypeName(e.type()), out)) {
+      return LineBreakError("event " + std::to_string(i), "the type name");
+    }
+    *out << "," << e.timestamp();
     for (size_t a = 0; a < schema.num_attributes(); ++a) {
-      const Value& v = e->attr(static_cast<int>(a));
+      const Value& v = e.attr(static_cast<int>(a));
       *out << ",";
       if (v.is_null()) continue;
       if (v.type() == ValueType::kString) {
-        WriteCsvCell(v.AsString(), out);
+        if (!WriteCsvCell(v.AsString(), out)) {
+          return LineBreakError("event " + std::to_string(i),
+                                "attribute " + schema.attribute(static_cast<int>(a)).name);
+        }
       } else {
         *out << v.ToString();
       }
@@ -63,69 +81,11 @@ Status WriteCsvFile(const EventStream& stream, const std::string& path) {
   return WriteCsv(stream, &out);
 }
 
-namespace {
-
-/// Views `line` with a trailing CRLF '\r' stripped — std::getline only
-/// consumes the '\n', so Windows-authored traces otherwise leak the '\r'
-/// into the last cell.
-std::string_view StripCr(const std::string& line) {
-  std::string_view v(line);
-  if (!v.empty() && v.back() == '\r') v.remove_suffix(1);
-  return v;
-}
-
-}  // namespace
-
-Result<EventStream> ReadCsv(const Schema& schema, std::istream* in,
+Result<EventStream> ReadCsv(const Schema& schema, std::string_view text,
                             const CsvReadOptions& options, CsvReadStats* stats) {
-  std::string line;
-  if (!std::getline(*in, line)) {
-    return Status::InvalidArgument("CSV input is empty");
-  }
-  CsvRowSplitter splitter;
-  std::vector<std::string_view> cells;
-  if (!splitter.Split(StripCr(line), &cells)) {
-    return Status::InvalidArgument("CSV header does not match the schema");
-  }
-  CEPSHED_RETURN_NOT_OK(ValidateCsvHeader(schema, cells));
-  const size_t expected_cells = cells.size();
-
-  EventStream stream(&schema);
-  CsvReadStats local;
-  CsvReadStats* counters = stats != nullptr ? stats : &local;
-  size_t line_no = 1;
-  while (std::getline(*in, line)) {
-    ++line_no;
-    const std::string_view row = StripCr(line);
-    if (row.empty()) continue;
-    ++counters->rows_read;
-    int type = -1;
-    Timestamp ts = 0;
-    std::vector<Value> attrs;
-    Status st = Status::OK();
-    if (!splitter.Split(row, &cells)) {
-      st = Status::ParseError("CSV line " + std::to_string(line_no) +
-                              ": unterminated quoted cell");
-    } else {
-      st = ParseCsvRow(schema, cells, expected_cells, line_no, &type, &ts,
-                       &attrs);
-    }
-    // Emit can also reject the row (timestamps must be non-decreasing);
-    // that is a property of the row's data, handled like any parse error.
-    if (st.ok()) st = stream.Emit(type, ts, std::move(attrs));
-    if (!st.ok()) {
-      if (!options.lenient) return st;
-      ++counters->malformed_rows;
-    }
-  }
-  return stream;
-}
-
-Result<EventStream> ReadCsvFile(const Schema& schema, const std::string& path,
-                                const CsvReadOptions& options, CsvReadStats* stats) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::InvalidArgument("cannot open " + path);
-  return ReadCsv(schema, &in, options, stats);
+  auto reader = MappedCsvReader::OverBuffer(schema, text, options);
+  if (!reader.ok()) return reader.status();
+  return reader->ReadAll(stats);
 }
 
 }  // namespace cepshed

@@ -6,19 +6,20 @@
 //
 // Format: header `type,timestamp,<attr1>,<attr2>,...` (attributes in
 // schema order), one event per line, empty cells for null attributes.
-// Cells containing commas, quotes, or line breaks are quoted
+// Cells containing commas, quotes, or carriage returns are quoted
 // RFC-4180-style on write (embedded quotes doubled) and unquoted on read;
 // CRLF line endings are accepted; numeric cells parse strictly and
 // locale-independently via std::from_chars (no leading/trailing
-// whitespace, no leading '+', no hex floats). Embedded line breaks in
-// string attributes are quoted on write but not reassembled on read —
-// the readers are line-oriented.
+// whitespace, no leading '+', no hex floats). Rows are lines: the reader
+// splits at every '\n', quoted or not, so WriteCsv refuses a line break
+// in any cell — event type name, attribute name, or string value.
 
 #ifndef CEPSHED_WORKLOAD_CSV_H_
 #define CEPSHED_WORKLOAD_CSV_H_
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "src/cep/schema.h"
 #include "src/cep/stream.h"
@@ -26,7 +27,9 @@
 
 namespace cepshed {
 
-/// Writes a stream as CSV.
+/// Writes a stream as CSV. Returns InvalidArgument, naming the event
+/// index (or the header attribute), when a cell contains a line break;
+/// the output written so far is then incomplete.
 Status WriteCsv(const EventStream& stream, std::ostream* out);
 Status WriteCsvFile(const EventStream& stream, const std::string& path);
 
@@ -50,15 +53,14 @@ struct CsvReadOptions {
   bool lenient = false;
 };
 
-/// Reads a CSV produced by WriteCsv (or hand-made with the same header)
-/// into a stream over `schema`. Attribute cells are parsed according to
-/// the schema's declared types. `stats` may be null.
-Result<EventStream> ReadCsv(const Schema& schema, std::istream* in,
+/// Parses CSV text produced by WriteCsv (or hand-made with the same
+/// header) into a stream over `schema`, through MappedCsvReader's row loop
+/// (src/workload/csv_mmap.h; ReadCsvMappedFile reads a file the same way).
+/// Attribute cells are parsed according to the schema's declared types.
+/// `stats` may be null.
+Result<EventStream> ReadCsv(const Schema& schema, std::string_view text,
                             const CsvReadOptions& options = {},
                             CsvReadStats* stats = nullptr);
-Result<EventStream> ReadCsvFile(const Schema& schema, const std::string& path,
-                                const CsvReadOptions& options = {},
-                                CsvReadStats* stats = nullptr);
 
 }  // namespace cepshed
 

@@ -1,9 +1,8 @@
 // Copyright (c) the CepShed authors. Licensed under the Apache License 2.0.
 //
-// The CSV parsing core shared by the istream reader (csv.cc) and the
-// memory-mapped reader (csv_mmap.cc): a zero-copy line cursor, an
-// RFC-4180-style quote-aware row splitter, strict std::from_chars numeric
-// parsing, and the header/row validation both readers apply. Everything
+// The CSV parsing core of the reader (MappedCsvReader, csv_mmap.cc): a
+// zero-copy line cursor, an RFC-4180-style quote-aware row splitter,
+// strict std::from_chars numeric parsing, and header/row validation. Everything
 // operates on string_views into the caller's buffer — no per-row heap
 // allocation on the fast (unquoted) path.
 
@@ -33,7 +32,7 @@ class CsvCursor {
   explicit CsvCursor(std::string_view buffer) : buf_(buffer) {}
 
   /// Advances to the next line. Returns false at end of buffer. Empty
-  /// lines are returned (callers skip them, as the istream reader does).
+  /// lines are returned (the reader skips them).
   bool NextRow(std::string_view* row) {
     if (pos_ >= buf_.size()) return false;
     ++line_no_;

@@ -13,17 +13,32 @@ Result<MappedCsvReader> MappedCsvReader::Open(const Schema& schema,
                                               CsvReadOptions options) {
   FileMapping map;
   CEPSHED_ASSIGN_OR_RETURN(map, FileMapping::Open(path));
-  MappedCsvReader reader(schema, std::move(map), options);
+  // The mapped bytes do not move with the FileMapping that owns them.
+  const std::string_view text = map.view();
+  MappedCsvReader reader(schema, std::move(map), text, options);
+  CEPSHED_RETURN_NOT_OK(reader.ReadHeader());
+  return reader;
+}
+
+Result<MappedCsvReader> MappedCsvReader::OverBuffer(const Schema& schema,
+                                                    std::string_view text,
+                                                    CsvReadOptions options) {
+  MappedCsvReader reader(schema, FileMapping(), text, options);
+  CEPSHED_RETURN_NOT_OK(reader.ReadHeader());
+  return reader;
+}
+
+Status MappedCsvReader::ReadHeader() {
   std::string_view header;
-  if (!reader.cursor_.NextRow(&header)) {
+  if (!cursor_.NextRow(&header)) {
     return Status::InvalidArgument("CSV input is empty");
   }
-  if (!reader.splitter_.Split(header, &reader.cells_)) {
+  if (!splitter_.Split(header, &cells_)) {
     return Status::InvalidArgument("CSV header does not match the schema");
   }
-  CEPSHED_RETURN_NOT_OK(ValidateCsvHeader(schema, reader.cells_));
-  reader.expected_cells_ = reader.cells_.size();
-  return reader;
+  CEPSHED_RETURN_NOT_OK(ValidateCsvHeader(*schema_, cells_));
+  expected_cells_ = cells_.size();
+  return Status::OK();
 }
 
 Result<size_t> MappedCsvReader::NextBatch(size_t max_events,
@@ -48,8 +63,8 @@ Result<size_t> MappedCsvReader::NextBatch(size_t max_events,
       st = ParseCsvRow(*schema_, cells_, expected_cells_, cursor_.line_no(),
                        &type, &ts, &attrs);
     }
-    // Mirror EventStream::Emit's timestamp check so lenient-mode skip
-    // counts match the istream reader row for row.
+    // EventStream::Emit's timestamp check, applied here so a regression
+    // is a malformed row (skipped and counted in lenient mode).
     if (st.ok() && have_last_ && ts < last_ts_) {
       st = Status::InvalidArgument(
           "CSV line " + std::to_string(cursor_.line_no()) +
@@ -69,26 +84,29 @@ Result<size_t> MappedCsvReader::NextBatch(size_t max_events,
   return added;
 }
 
-Result<EventStream> ReadCsvMappedFile(const Schema& schema,
-                                      const std::string& path,
-                                      const CsvReadOptions& options,
-                                      CsvReadStats* stats) {
-  auto opened = MappedCsvReader::Open(schema, path, options);
-  if (!opened.ok()) return opened.status();
-  MappedCsvReader& reader = *opened;
-  EventStream stream(&schema);
+Result<EventStream> MappedCsvReader::ReadAll(CsvReadStats* stats) {
+  EventStream stream(schema_);
   std::vector<EventPtr> batch;
   for (;;) {
     batch.clear();
-    auto n = reader.NextBatch(1024, &batch);
+    auto n = NextBatch(1024, &batch);
     if (!n.ok()) return n.status();
     if (*n == 0) break;
     for (EventPtr& e : batch) {
       CEPSHED_RETURN_NOT_OK(stream.Append(std::move(e)));
     }
   }
-  if (stats != nullptr) *stats = reader.stats();
+  if (stats != nullptr) *stats = stats_;
   return stream;
+}
+
+Result<EventStream> ReadCsvMappedFile(const Schema& schema,
+                                      const std::string& path,
+                                      const CsvReadOptions& options,
+                                      CsvReadStats* stats) {
+  auto reader = MappedCsvReader::Open(schema, path, options);
+  if (!reader.ok()) return reader.status();
+  return reader->ReadAll(stats);
 }
 
 }  // namespace cepshed

@@ -48,12 +48,4 @@ EventStream GenerateDs1(const Schema& schema, const Ds1Options& options) {
   return stream;
 }
 
-Result<EventStream> LoadDs1Csv(const Schema& schema, const std::string& path,
-                               CsvReadStats* stats) {
-  CsvReadOptions options;
-  options.lenient = true;
-  return ReadCsvFile(schema, path, options, stats);
-}
-
-
 }  // namespace cepshed

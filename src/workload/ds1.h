@@ -8,12 +8,9 @@
 #ifndef CEPSHED_WORKLOAD_DS1_H_
 #define CEPSHED_WORKLOAD_DS1_H_
 
-#include <string>
-
 #include "src/cep/schema.h"
 #include "src/cep/stream.h"
 #include "src/common/rng.h"
-#include "src/workload/csv.h"
 
 namespace cepshed {
 
@@ -43,12 +40,6 @@ struct Ds1Options {
 
 /// Generates a DS1 stream over `schema` (must come from MakeDs1Schema).
 EventStream GenerateDs1(const Schema& schema, const Ds1Options& options);
-
-/// Loads a DS1-layout CSV (WriteCsv over MakeDs1Schema()) leniently:
-/// malformed rows are skipped and counted in *stats (may be null).
-/// `schema` must outlive the stream.
-Result<EventStream> LoadDs1Csv(const Schema& schema, const std::string& path,
-                               CsvReadStats* stats = nullptr);
 
 }  // namespace cepshed
 

@@ -63,12 +63,4 @@ EventStream GenerateDs2(const Schema& schema, const Ds2Options& options) {
   return stream;
 }
 
-Result<EventStream> LoadDs2Csv(const Schema& schema, const std::string& path,
-                               CsvReadStats* stats) {
-  CsvReadOptions options;
-  options.lenient = true;
-  return ReadCsvFile(schema, path, options, stats);
-}
-
-
 }  // namespace cepshed

@@ -9,12 +9,9 @@
 #ifndef CEPSHED_WORKLOAD_DS2_H_
 #define CEPSHED_WORKLOAD_DS2_H_
 
-#include <string>
-
 #include "src/cep/schema.h"
 #include "src/cep/stream.h"
 #include "src/common/rng.h"
-#include "src/workload/csv.h"
 
 namespace cepshed {
 
@@ -31,12 +28,6 @@ struct Ds2Options {
 
 /// Generates a DS2 stream over `schema` (must come from MakeDs2Schema).
 EventStream GenerateDs2(const Schema& schema, const Ds2Options& options);
-
-/// Loads a DS2-layout CSV (WriteCsv over MakeDs2Schema()) leniently:
-/// malformed rows are skipped and counted in *stats (may be null).
-/// `schema` must outlive the stream.
-Result<EventStream> LoadDs2Csv(const Schema& schema, const std::string& path,
-                               CsvReadStats* stats = nullptr);
 
 }  // namespace cepshed
 

@@ -111,12 +111,4 @@ EventStream GenerateGoogleTrace(const Schema& schema,
   return stream;
 }
 
-Result<EventStream> LoadGoogleTraceCsv(const Schema& schema, const std::string& path,
-                                       CsvReadStats* stats) {
-  CsvReadOptions options;
-  options.lenient = true;
-  return ReadCsvFile(schema, path, options, stats);
-}
-
-
 }  // namespace cepshed

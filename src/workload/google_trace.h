@@ -10,12 +10,9 @@
 #ifndef CEPSHED_WORKLOAD_GOOGLE_TRACE_H_
 #define CEPSHED_WORKLOAD_GOOGLE_TRACE_H_
 
-#include <string>
-
 #include "src/cep/schema.h"
 #include "src/cep/stream.h"
 #include "src/common/rng.h"
-#include "src/workload/csv.h"
 
 namespace cepshed {
 
@@ -47,12 +44,6 @@ struct GoogleTraceOptions {
 
 /// Generates a synthetic cluster lifecycle stream.
 EventStream GenerateGoogleTrace(const Schema& schema, const GoogleTraceOptions& options);
-
-/// Loads a cluster lifecycle CSV (WriteCsv layout over
-/// MakeGoogleTraceSchema()) leniently: malformed rows are skipped and
-/// counted in *stats (may be null). `schema` must outlive the stream.
-Result<EventStream> LoadGoogleTraceCsv(const Schema& schema, const std::string& path,
-                                       CsvReadStats* stats = nullptr);
 
 }  // namespace cepshed
 

@@ -1,11 +1,13 @@
 // Copyright (c) the CepShed authors. Licensed under the Apache License 2.0.
 //
-// CSV correctness suite: the three round-trip bugfix regressions (RFC-4180
-// quoting, CRLF acceptance, strict from_chars numerics), a byte-identical
-// write→read→write property test, and the mmap-reader-vs-istream-reader
-// differential over the generator workloads. Each regression test encodes
-// an input the pre-fix reader mishandled (split quoted cells, '\r' leaking
-// into the last cell, stoll/stod accepting padded or signed spellings).
+// CSV correctness suite: the round-trip bugfix regressions (RFC-4180
+// quoting, CRLF acceptance, strict from_chars numerics, line breaks the
+// writer used to emit), a byte-identical write→read→write property test,
+// and the mapped-file-vs-buffer differential over the generator workloads
+// with pinned stream fingerprints. Each regression test encodes an input
+// the pre-fix code mishandled (split quoted cells, '\r' leaking into the
+// last cell, stoll/stod accepting padded or signed spellings, a quoted
+// '\n' the reader splits at).
 
 #include "src/workload/csv.h"
 
@@ -13,6 +15,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -24,6 +27,7 @@
 #include "src/workload/csv_mmap.h"
 #include "src/workload/ds1.h"
 #include "src/workload/ds2.h"
+#include "tests/test_util.h"
 
 namespace cepshed {
 namespace {
@@ -48,13 +52,6 @@ std::string WriteToString(const EventStream& stream) {
   const Status st = WriteCsv(stream, &os);
   EXPECT_TRUE(st.ok()) << st.message();
   return os.str();
-}
-
-Result<EventStream> ReadFromString(const Schema& schema, const std::string& text,
-                                   const CsvReadOptions& options = {},
-                                   CsvReadStats* stats = nullptr) {
-  std::istringstream is(text);
-  return ReadCsv(schema, &is, options, stats);
 }
 
 void ExpectStreamsEqual(const EventStream& a, const EventStream& b) {
@@ -90,7 +87,7 @@ TEST(CsvQuotingTest, CommaAndQuoteValuesRoundTrip) {
   ASSERT_TRUE(stream.Emit(0, 50, {Value(5), Value(",\",\""), Value(4.0)}).ok());
 
   const std::string text = WriteToString(stream);
-  auto back = ReadFromString(schema, text);
+  auto back = ReadCsv(schema, text);
   ASSERT_TRUE(back.ok()) << back.status().message();
   ExpectStreamsEqual(stream, *back);
   // Quoted cells survive a second trip byte for byte.
@@ -105,7 +102,7 @@ TEST(CsvQuotingTest, QuotedCellsParseZeroCopyAndEscaped) {
       "type,timestamp,ID,NAME,X\n"
       "A,1,\"7\",\"x,y\",1.5\n"
       "B,2,8,\"he said \"\"go\"\"\",\n";
-  auto back = ReadFromString(schema, text);
+  auto back = ReadCsv(schema, text);
   ASSERT_TRUE(back.ok()) << back.status().message();
   ASSERT_EQ(back->size(), 2u);
   const EventPtr& e0 = *back->begin();
@@ -121,12 +118,12 @@ TEST(CsvQuotingTest, UnterminatedQuoteIsParseError) {
   const std::string text =
       "type,timestamp,ID,NAME,X\n"
       "A,1,7,\"never closed,1.5\n";
-  EXPECT_FALSE(ReadFromString(schema, text).ok());
+  EXPECT_FALSE(ReadCsv(schema, text).ok());
   // Lenient mode skips the row instead.
   CsvReadStats stats;
   CsvReadOptions lenient;
   lenient.lenient = true;
-  auto back = ReadFromString(schema, text, lenient, &stats);
+  auto back = ReadCsv(schema, text, lenient, &stats);
   ASSERT_TRUE(back.ok()) << back.status().message();
   EXPECT_EQ(back->size(), 0u);
   EXPECT_EQ(stats.malformed_rows, 1u);
@@ -137,7 +134,7 @@ TEST(CsvQuotingTest, TextAfterClosingQuoteIsMalformed) {
   const std::string text =
       "type,timestamp,ID,NAME,X\n"
       "A,1,7,\"ok\"trailing,1.5\n";
-  EXPECT_FALSE(ReadFromString(schema, text).ok());
+  EXPECT_FALSE(ReadCsv(schema, text).ok());
 }
 
 // --- Regression 2: CRLF line endings --------------------------------------
@@ -156,15 +153,15 @@ TEST(CsvCrlfTest, CrlfFileParsesIdenticallyToLf) {
     if (c == '\n') crlf += '\r';
     crlf += c;
   }
-  auto from_lf = ReadFromString(schema, lf);
+  auto from_lf = ReadCsv(schema, lf);
   ASSERT_TRUE(from_lf.ok()) << from_lf.status().message();
-  auto from_crlf = ReadFromString(schema, crlf);
+  auto from_crlf = ReadCsv(schema, crlf);
   ASSERT_TRUE(from_crlf.ok()) << from_crlf.status().message();
   ExpectStreamsEqual(*from_lf, *from_crlf);
   ASSERT_EQ(from_crlf->size(), 2u);
   EXPECT_EQ((*from_crlf->begin())->attr(2).AsDouble(), 1.5);
 
-  // The mmap reader accepts the same CRLF bytes.
+  // The mapped file reader accepts the same CRLF bytes.
   const std::string path = TempPath("crlf.csv");
   {
     std::ofstream out(path, std::ios::binary);
@@ -198,17 +195,17 @@ TEST(CsvStrictNumericTest, PaddedAndSignedSpellingsAreRejected) {
   };
   for (const char* row : bad_rows) {
     SCOPED_TRACE(row);
-    EXPECT_FALSE(ReadFromString(schema, header + row).ok());
+    EXPECT_FALSE(ReadCsv(schema, header + row).ok());
     CsvReadStats stats;
     CsvReadOptions lenient;
     lenient.lenient = true;
-    auto back = ReadFromString(schema, header + row, lenient, &stats);
+    auto back = ReadCsv(schema, header + row, lenient, &stats);
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back->size(), 0u);
     EXPECT_EQ(stats.malformed_rows, 1u);
   }
   // The strict spellings those paddings decay to still parse.
-  auto ok = ReadFromString(schema,
+  auto ok = ReadCsv(schema,
                            header + "A,1,12,n,1.5\nB,2,-3,n,-0.5\nA,3,3,n,1.5e2\n");
   ASSERT_TRUE(ok.ok()) << ok.status().message();
   EXPECT_EQ(ok->size(), 3u);
@@ -219,22 +216,62 @@ TEST(CsvHeaderTest, MismatchedHeaderIsHardErrorEvenLenient) {
   CsvReadOptions lenient;
   lenient.lenient = true;
   EXPECT_FALSE(
-      ReadFromString(schema, "type,timestamp,ID,WRONG,X\nA,1,1,n,1.5\n", lenient)
+      ReadCsv(schema, "type,timestamp,ID,WRONG,X\nA,1,1,n,1.5\n", lenient)
           .ok());
-  EXPECT_FALSE(ReadFromString(schema, "", lenient).ok());
+  EXPECT_FALSE(ReadCsv(schema, "", lenient).ok());
+}
+
+// --- Regression 4: line breaks inside cells --------------------------------
+// Before the fix, WriteCsv quoted a cell carrying '\n' and returned OK, but
+// the reader splits rows at every line break: a strict read of its output
+// failed with "CSV line 3: unterminated quoted cell", and a lenient read
+// kept 2 of 3 events and counted 2 malformed rows for one bad input row.
+// The writer now refuses any cell it could not read back.
+
+TEST(CsvLineBreakTest, WriterRejectsCellsWithLineBreaks) {
+  const Schema schema = MakeMixedSchema();
+  EventStream stream(&schema);
+  ASSERT_TRUE(stream.Emit(0, 10, {Value(1), Value("one"), Value(1.5)}).ok());
+  ASSERT_TRUE(stream.Emit(1, 20, {Value(2), Value("line\nbreak"), Value(2.5)}).ok());
+  ASSERT_TRUE(stream.Emit(0, 30, {Value(3), Value("three"), Value(3.5)}).ok());
+  const std::string path = TempPath("line_break.csv");
+  const Status st = WriteCsvFile(stream, path);
+  std::remove(path.c_str());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("event 1"), std::string::npos) << st.message();
+
+  // Event type names and header names are cells too.
+  Schema bad_type;
+  (void)bad_type.AddEventType("two\nlines");
+  (void)bad_type.AddAttribute("ID", ValueType::kInt);
+  EventStream typed(&bad_type);
+  ASSERT_TRUE(typed.Emit(0, 1, {Value(1)}).ok());
+  std::ostringstream sink;
+  const Status type_st = WriteCsv(typed, &sink);
+  EXPECT_EQ(type_st.code(), StatusCode::kInvalidArgument) << type_st.ToString();
+  EXPECT_NE(type_st.message().find("event 0"), std::string::npos) << type_st.message();
+
+  Schema bad_attr;
+  (void)bad_attr.AddEventType("A");
+  (void)bad_attr.AddAttribute("I\nD", ValueType::kInt);
+  EventStream named(&bad_attr);
+  ASSERT_TRUE(named.Emit(0, 1, {Value(1)}).ok());
+  EXPECT_EQ(WriteCsv(named, &sink).code(), StatusCode::kInvalidArgument);
 }
 
 // --- Property: write→read→write is byte-identical --------------------------
 // Doubles are drawn from a dyadic grid with few significant digits so the
 // default ostream formatting is lossless; strings are drawn from a pool of
-// quoting-hostile shapes. An empty string writes as an empty cell and reads
-// back as null — which again writes as an empty cell, so byte equality of
-// the second write still holds.
+// quoting-hostile shapes, carriage returns included (a quoted '\r' is cell
+// content, not a line ending). An empty string writes as an empty cell and
+// reads back as null — which again writes as an empty cell, so byte
+// equality of the second write still holds.
 
 TEST(CsvRoundTripProperty, RandomStreamsSurviveByteIdentical) {
   const Schema schema = MakeMixedSchema();
-  const char* name_pool[] = {"plain", "", "a,b", "\"", "q\"uote", ",,",
-                             " spaced ", "a\"\"b", "x,\"y\",z", "-12"};
+  const char* name_pool[] = {"plain",    "",          "a,b",     "\"",
+                             "q\"uote",  ",,",        " spaced ", "a\"\"b",
+                             "x,\"y\",z", "-12",       "cr\r",    "\r"};
   std::mt19937_64 rng(20260808);
   for (int iter = 0; iter < 40; ++iter) {
     EventStream stream(&schema);
@@ -247,7 +284,7 @@ TEST(CsvRoundTripProperty, RandomStreamsSurviveByteIdentical) {
         attrs[0] = Value(static_cast<int64_t>(rng() % 2001) - 1000);
       }
       if (rng() % 4 != 0) {
-        attrs[1] = Value(std::string(name_pool[rng() % 10]));
+        attrs[1] = Value(std::string(name_pool[rng() % std::size(name_pool)]));
       }
       if (rng() % 4 != 0) {
         // m / 8 with |m| < 1000: at most six significant digits.
@@ -263,7 +300,7 @@ TEST(CsvRoundTripProperty, RandomStreamsSurviveByteIdentical) {
       CsvReadOptions options;
       options.lenient = lenient;
       CsvReadStats stats;
-      auto back = ReadFromString(schema, first, options, &stats);
+      auto back = ReadCsv(schema, first, options, &stats);
       ASSERT_TRUE(back.ok()) << back.status().message();
       ASSERT_EQ(back->size(), stream.size());
       EXPECT_EQ(stats.malformed_rows, 0u);
@@ -272,25 +309,33 @@ TEST(CsvRoundTripProperty, RandomStreamsSurviveByteIdentical) {
   }
 }
 
-// --- Differential: mmap reader == istream reader ---------------------------
+// --- Differential: mapped file == buffer ----------------------------------
+// Both wrappers drive the same row loop; the pinned fingerprints of the
+// mapped read were recorded when a separate istream reader still existed
+// and produced the same streams.
 
-void ExpectMmapMatchesStream(const Schema& schema, const EventStream& stream,
-                             const std::string& tag) {
+void ExpectMappedMatchesBuffer(const Schema& schema, const EventStream& stream,
+                               const std::string& tag, uint64_t pinned) {
   const std::string path = TempPath("mmap_diff_" + tag + ".csv");
   ASSERT_TRUE(WriteCsvFile(stream, path).ok());
-  CsvReadStats stream_stats;
-  auto via_stream = ReadCsvFile(schema, path, {}, &stream_stats);
-  ASSERT_TRUE(via_stream.ok()) << via_stream.status().message();
+  CsvReadStats buffer_stats;
+  auto via_buffer = ReadCsv(schema, WriteToString(stream), {}, &buffer_stats);
+  ASSERT_TRUE(via_buffer.ok()) << via_buffer.status().message();
   CsvReadStats mmap_stats;
   auto via_mmap = ReadCsvMappedFile(schema, path, {}, &mmap_stats);
   ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().message();
-  EXPECT_EQ(stream_stats.rows_read, mmap_stats.rows_read);
-  EXPECT_EQ(stream_stats.malformed_rows, mmap_stats.malformed_rows);
+  EXPECT_EQ(buffer_stats.rows_read, mmap_stats.rows_read);
+  EXPECT_EQ(buffer_stats.malformed_rows, mmap_stats.malformed_rows);
   // Byte-identical re-serialization is the strongest equality we can state
   // without a stream operator==: it covers types, timestamps, and every
   // attribute value.
-  EXPECT_EQ(WriteToString(*via_stream), WriteToString(*via_mmap));
-  ExpectStreamsEqual(*via_stream, *via_mmap);
+  EXPECT_EQ(WriteToString(*via_buffer), WriteToString(*via_mmap));
+  ExpectStreamsEqual(*via_buffer, *via_mmap);
+  cepshed::testing::Fnv f;
+  for (const EventPtr& e : *via_mmap) cepshed::testing::FoldEvent(*e, &f);
+  f.U64(mmap_stats.rows_read);
+  f.U64(mmap_stats.malformed_rows);
+  EXPECT_EQ(f.value(), pinned) << std::hex << "0x" << f.value();
   std::remove(path.c_str());
 }
 
@@ -298,48 +343,53 @@ TEST(CsvMmapDifferentialTest, Ds1) {
   const Schema schema = MakeDs1Schema();
   Ds1Options options;
   options.num_events = 4000;
-  ExpectMmapMatchesStream(schema, GenerateDs1(schema, options), "ds1");
+  ExpectMappedMatchesBuffer(schema, GenerateDs1(schema, options), "ds1",
+                            0x4a882c40221b203cULL);
 }
 
 TEST(CsvMmapDifferentialTest, Ds2) {
   const Schema schema = MakeDs2Schema();
   Ds2Options options;
   options.num_events = 4000;
-  ExpectMmapMatchesStream(schema, GenerateDs2(schema, options), "ds2");
+  ExpectMappedMatchesBuffer(schema, GenerateDs2(schema, options), "ds2",
+                            0x437940e6b2bc5426ULL);
 }
 
 TEST(CsvMmapDifferentialTest, Citibike) {
   const Schema schema = MakeCitibikeSchema();
   CitibikeOptions options;
   options.num_events = 3000;
-  ExpectMmapMatchesStream(schema, GenerateCitibike(schema, options), "citibike");
+  ExpectMappedMatchesBuffer(schema, GenerateCitibike(schema, options), "citibike",
+                            0x0e5b504ef1e85bbbULL);
 }
 
 TEST(CsvMmapDifferentialTest, LenientSkipCountsMatch) {
   const Schema schema = MakeMixedSchema();
+  const std::string text =
+      "type,timestamp,ID,NAME,X\n"
+      "A,1,7,good,1.5\n"
+      "A,2,+8,padded int,1.5\n"   // malformed: '+'
+      "ZZZ,3,9,unknown type,\n"   // malformed: type
+      "B,0,9,time travel,\n"      // malformed: ts regression (0 < 1)
+      "B,4,10,\"tail\",0.25\n";
   const std::string path = TempPath("mmap_lenient.csv");
   {
     std::ofstream out(path);
-    out << "type,timestamp,ID,NAME,X\n"
-        << "A,1,7,good,1.5\n"
-        << "A,2,+8,padded int,1.5\n"   // malformed: '+'
-        << "ZZZ,3,9,unknown type,\n"   // malformed: type
-        << "B,0,9,time travel,\n"      // malformed: ts regression (0 < 1)
-        << "B,4,10,\"tail\",0.25\n";
+    out << text;
   }
   CsvReadOptions lenient;
   lenient.lenient = true;
   CsvReadStats a, b;
-  auto via_stream = ReadCsvFile(schema, path, lenient, &a);
-  ASSERT_TRUE(via_stream.ok()) << via_stream.status().message();
+  auto via_buffer = ReadCsv(schema, text, lenient, &a);
+  ASSERT_TRUE(via_buffer.ok()) << via_buffer.status().message();
   auto via_mmap = ReadCsvMappedFile(schema, path, lenient, &b);
   ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().message();
-  EXPECT_EQ(via_stream->size(), 2u);
+  EXPECT_EQ(via_buffer->size(), 2u);
   EXPECT_EQ(a.rows_read, 5u);
   EXPECT_EQ(a.malformed_rows, 3u);
   EXPECT_EQ(b.rows_read, a.rows_read);
   EXPECT_EQ(b.malformed_rows, a.malformed_rows);
-  ExpectStreamsEqual(*via_stream, *via_mmap);
+  ExpectStreamsEqual(*via_buffer, *via_mmap);
   std::remove(path.c_str());
 }
 

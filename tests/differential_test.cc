@@ -13,8 +13,10 @@
 // slicing for any-match time-window queries) 1 and 2 must produce the same
 // match set and consistent stats; 2 and 3 must agree byte for byte — any
 // divergence there is nondeterminism introduced by the parallel path
-// itself. The grid covers queries × selection policies × shard counts
-// {1,2,4,8} × shedding on/off.
+// itself. 1 and 3 are also pinned: a fingerprint of each (matches, every
+// engine counter, total cost) must equal the grid's golden table. The grid
+// covers queries × selection policies × shard counts {1,2,4,8} × shedding
+// on/off.
 //
 // Shedding runs use a content-hash shedder: rho_I drops an event iff a
 // hash of its stream sequence number falls under a threshold, and rho_S
@@ -28,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -45,9 +48,14 @@
 #include "src/workload/google_trace.h"
 #include "src/workload/lab/trace.h"
 #include "src/workload/queries.h"
+#include "tests/test_util.h"
 
 namespace cepshed {
 namespace {
+
+using cepshed::testing::FoldMatches;
+using cepshed::testing::FoldStats;
+using cepshed::testing::Fnv;
 
 constexpr int kShardCounts[] = {1, 2, 4, 8};
 
@@ -174,11 +182,134 @@ void ExpectRunsIdentical(const ShardRunResult& a, const ShardRunResult& b) {
   }
 }
 
+/// Pinned fingerprints of one grid row, keyed by DiffConfig::name.
+/// pinned[shed][0] is the sequential reference (matches, every EngineStats
+/// field, drops, shed matches); pinned[shed][1 + k] is RunSequential at
+/// kShardCounts[k] shards (matches, merged and per-shard stats, per-shard
+/// routing counters and avg_latency). They pin the engine's expiry,
+/// strict-contiguity and predicate paths across the whole grid; a moved
+/// value means some path now matches, charges or counts differently.
+/// Regenerate only for an intended behaviour change; the EXPECT failures
+/// print actual vs pinned.
+struct GridGolden {
+  const char* config;
+  uint64_t pinned[2][5];
+};
+
+constexpr GridGolden kGridGoldens[] = {
+    {"Q1/any/hash",
+     {{0x19fded4e088fdb52ULL, 0x9e82eaf83be4901fULL, 0x2db4a6c677f732dcULL,
+       0x47d9113196c0e770ULL, 0x6334564d7d69e1a0ULL},
+      {0xe4faea3c8f32e4f7ULL, 0x5e957b2a585d16c0ULL, 0x10cf97a48b4188c7ULL,
+       0x8b59b1dcd2c60647ULL, 0xcebb39a1fa5fc007ULL}}},
+    {"Q1/next/hash",
+     {{0x8bbbcefa533a234cULL, 0xd3e7f5120d01e2a2ULL, 0x5b0c4a0215d62347ULL,
+       0x8def881d4cf7192dULL, 0xd7971b40e4760e98ULL},
+      {0x7c4ab11339ef794cULL, 0x33d6586bbf332e2eULL, 0x4ab7a2065d9af3faULL,
+       0x7e71b0b566a8d422ULL, 0xf68b99704405fbe6ULL}}},
+    {"Kleene/any/hash",
+     {{0x0be71c18960567c7ULL, 0x7d395b66853973f5ULL, 0x61c271298e090be1ULL,
+       0x3f0d842562539ceaULL, 0xe77356fd54374f18ULL},
+      {0x8d8417e7845fba61ULL, 0xd5d195035034ee85ULL, 0xe3ac146faca36d12ULL,
+       0x57510e3c76385187ULL, 0x8dd912c91349f65cULL}}},
+    {"Kleene/next/hash",
+     {{0x3ac600a095d58a70ULL, 0xcb884dfb3dd3c8c0ULL, 0x43d62274af6b02bfULL,
+       0xae41c0cbc0afc0eaULL, 0xe468c0eb04f5d87bULL},
+      {0x18670e3eb1e2d7a2ULL, 0x6ef6803aa74affcfULL, 0xd94db37ed17acc05ULL,
+       0xdf7c2e6faa587991ULL, 0x4089d8104b12b07fULL}}},
+    {"LiteralFilter/any/hash",
+     {{0x4b36ec514bd9759fULL, 0x6e8360c9e3bcc303ULL, 0x5db39710b415547eULL,
+       0xfcb19bd4667ab44eULL, 0x6fca30646756cd97ULL},
+      {0x1932e7978df014a2ULL, 0x8d11cca38608e262ULL, 0xa7e4cef7c83c5576ULL,
+       0x5a4925ddd623e1adULL, 0x4538918d192cb06cULL}}},
+    {"Q4/any/hash",
+     {{0xccde4b9394c072cdULL, 0xf72d299e8009f16dULL, 0xdd2ef5fcba0199e6ULL,
+       0xcb17da4acbe95ceeULL, 0xb7f50075dc741e09ULL},
+      {0x35817d8efcf3a7d5ULL, 0x14bf0529e4712a75ULL, 0x3fdd9c4755b4073cULL,
+       0x97377889da1084edULL, 0xb31af4728122a60cULL}}},
+    {"Q1/count/any/hash",
+     {{0x637d3a50e194954bULL, 0xe0fab42f93bf9d82ULL, 0x8939400a3e71832dULL,
+       0x461837a241d941b2ULL, 0xa570fd5db682145eULL},
+      {0x2b38b49af38cc6dcULL, 0xd64dbccb7f046530ULL, 0xafc7d2803e9cb543ULL,
+       0xd44d10e0000cb3f7ULL, 0xe69665c2f9facb8dULL}}},
+    {"GoogleChurn/any/hash",
+     {{0xd2259c28f23c508dULL, 0x90ad0e7418848574ULL, 0xfc417de17ea71185ULL,
+       0x9d0ab6a0addd906cULL, 0xb948ac69d55f3f4dULL},
+      {0xe008a199847e5deaULL, 0xb1a7ab5b81ee1d30ULL, 0x7d146ccc620ba7bfULL,
+       0xcb2815d5bdf0656dULL, 0x1b404a495bd8e02eULL}}},
+    {"KleeneNeg/any/hash/replayed",
+     {{0x3067deef2c013aceULL, 0x99f6f578f93437bcULL, 0x79a33a8bbb8dbeeeULL,
+       0xa48cd63a03532f0dULL, 0xbcc7e8e08b0c6ed0ULL},
+      {0x9cdd54ac91db6b75ULL, 0x784f863170afaaa8ULL, 0x7e117ce0cfed62bcULL,
+       0x15c3560296673376ULL, 0x98b32ebbcd9a0e12ULL}}},
+    {"Q1/any/slice",
+     {{0x19fded4e088fdb52ULL, 0x9e82eaf83be4901fULL, 0x65b7b99a32e3527fULL,
+       0x4559b42c46b433baULL, 0xe1992838ab4ef50dULL},
+      {0xe4faea3c8f32e4f7ULL, 0x5e957b2a585d16c0ULL, 0x94c6144edf4b812eULL,
+       0xd8fee60e6befe2c7ULL, 0xcb6096a029a237edULL}}},
+    {"Kleene/any/slice",
+     {{0x0be71c18960567c7ULL, 0x7d395b66853973f5ULL, 0x57ffce2abd228eccULL,
+       0xa9296c005f7a1149ULL, 0x0c25a5bebae17a64ULL},
+      {0x8d8417e7845fba61ULL, 0xd5d195035034ee85ULL, 0x181f2457eda808a8ULL,
+       0x2f08e8c4cde54347ULL, 0x11a4a2df2ff5c5b9ULL}}},
+    {"Q4/any/slice",
+     {{0xccde4b9394c072cdULL, 0xf72d299e8009f16dULL, 0xc64d7f9289413d0aULL,
+       0xad98ce4c0621c62cULL, 0x44fe79c63421b9e4ULL},
+      {0x35817d8efcf3a7d5ULL, 0x14bf0529e4712a75ULL, 0xe1d6214839e55499ULL,
+       0x2f414c0e0cbdaff4ULL, 0xf05f6a7ddf7a4f1cULL}}},
+};
+
+uint64_t ReferenceFingerprint(const RunResult& r) {
+  Fnv f;
+  FoldMatches(r.matches, &f);
+  FoldStats(r.engine_stats, &f);
+  f.U64(r.total_events);
+  f.U64(r.dropped_events);
+  f.U64(r.processed_events);
+  f.U64(r.shed_pms);
+  return f.value();
+}
+
+uint64_t ShardedFingerprint(const ShardRunResult& r) {
+  Fnv f;
+  FoldMatches(r.matches, &f);
+  FoldStats(r.stats, &f);
+  f.U64(r.total_events);
+  f.U64(r.routed_events);
+  f.U64(r.dropped_events);
+  f.U64(r.shed_pms);
+  f.U64(r.shards.size());
+  for (const ShardResult& s : r.shards) {
+    f.U64(s.events_routed);
+    f.U64(s.events_dropped);
+    f.U64(s.events_processed);
+    f.U64(s.shed_pms);
+    f.F64(s.avg_latency);
+    FoldStats(s.stats, &f);
+  }
+  return f.value();
+}
+
+void ExpectGridGolden(const std::string& name, const uint64_t (&got)[2][5]) {
+  const GridGolden* golden = nullptr;
+  for (const GridGolden& g : kGridGoldens) {
+    if (name == g.config) golden = &g;
+  }
+  ASSERT_NE(golden, nullptr) << "no pinned fingerprints for " << name;
+  for (int shed = 0; shed < 2; ++shed) {
+    for (int k = 0; k < 5; ++k) {
+      EXPECT_EQ(got[shed][k], golden->pinned[shed][k])
+          << name << (shed ? " shed" : " no-shed")
+          << (k == 0 ? " reference" : " shards=" + std::to_string(kShardCounts[k - 1]))
+          << std::hex << ": 0x" << got[shed][k];
+    }
+  }
+}
+
 /// Ground-truth run on one global engine with one (optional) shedder.
 RunResult SequentialReference(const std::shared_ptr<const Nfa>& nfa,
-                              const EventStream& stream, bool shed,
-                              const EngineOptions& options = EngineOptions{}) {
-  Engine engine(nfa, options);
+                              const EventStream& stream, bool shed) {
+  Engine engine(nfa, EngineOptions{});
   NoShedder none;
   HashDropShedder drop(kShedSeed, kEventDropFrac, kPmDropFrac);
   Shedder* shedder = shed ? static_cast<Shedder*>(&drop) : &none;
@@ -194,29 +325,17 @@ void RunDifferential(const DiffConfig& config) {
                        ? -1
                        : config.schema->AttributeIndex(config.partition_attr);
 
+  uint64_t fingerprints[2][5] = {};
   for (const bool shed : {false, true}) {
     const RunResult expected = SequentialReference(*nfa, *config.stream, shed);
+    fingerprints[shed][0] = ReferenceFingerprint(expected);
     // A degenerate reference would make the equivalence vacuous.
     ASSERT_GT(expected.matches.size(), 0u)
         << config.name << ": reference run produced no matches";
     const std::vector<CanonMatch> expected_canon = Canon(expected.matches);
 
-    {
-      // (C) Expiry-mechanism differential: the deadline-ordered timing
-      // wheel (default) and the legacy O(live) scans must be byte-identical
-      // — matches, every stat, and total cost — with and without shedding.
-      EngineOptions scan;
-      scan.use_expiry_wheel = false;
-      scan.use_strict_gen_list = false;
-      const RunResult scanned =
-          SequentialReference(*nfa, *config.stream, shed, scan);
-      EXPECT_EQ(Canon(scanned.matches), expected_canon);
-      ExpectStatsEqual(scanned.engine_stats, expected.engine_stats);
-      EXPECT_EQ(scanned.dropped_events, expected.dropped_events);
-      EXPECT_EQ(scanned.shed_pms, expected.shed_pms);
-    }
-
-    for (const int num_shards : kShardCounts) {
+    for (size_t k = 0; k < std::size(kShardCounts); ++k) {
+      const int num_shards = kShardCounts[k];
       SCOPED_TRACE(config.name + " shards=" + std::to_string(num_shards) +
                    (shed ? " shed" : " no-shed"));
 
@@ -243,6 +362,7 @@ void RunDifferential(const DiffConfig& config) {
 
       // (B) The parallel path is deterministic: Run == RunSequential.
       ExpectRunsIdentical(*parallel, *replay);
+      fingerprints[shed][1 + k] = ShardedFingerprint(*replay);
 
       // Routing accounting is consistent.
       EXPECT_EQ(parallel->total_events, config.stream->size());
@@ -284,6 +404,8 @@ void RunDifferential(const DiffConfig& config) {
       }
     }
   }
+  // (C) Every fingerprint equals the pinned one.
+  ExpectGridGolden(config.name, fingerprints);
 }
 
 // ---------------------------------------------------------------------------

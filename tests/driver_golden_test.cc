@@ -18,7 +18,6 @@
 // guard drops; every other soak output must not.
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,61 +32,14 @@
 #include "src/workload/ds1.h"
 #include "src/workload/lab/soak.h"
 #include "src/workload/queries.h"
+#include "tests/test_util.h"
 
 namespace cepshed {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-class Fnv {
- public:
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= static_cast<unsigned char>(v >> (8 * i));
-      h_ *= kFnvPrime;
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  void Str(const std::string& s) {
-    U64(s.size());
-    for (char c : s) {
-      h_ ^= static_cast<unsigned char>(c);
-      h_ *= kFnvPrime;
-    }
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = kFnvOffset;
-};
-
-void FoldMatches(const std::vector<Match>& matches, Fnv* f) {
-  f->U64(matches.size());
-  for (const Match& m : matches) {
-    f->I64(m.detected_at);
-    f->Str(m.Key());
-  }
-}
-
-void FoldStats(const EngineStats& s, Fnv* f) {
-  f->U64(s.events_processed);
-  f->U64(s.pms_created);
-  f->U64(s.witnesses_created);
-  f->U64(s.matches_emitted);
-  f->U64(s.matches_vetoed);
-  f->U64(s.pms_evicted);
-  f->U64(s.predicate_evals);
-  f->U64(s.candidates_scanned);
-  f->U64(s.index_probes);
-  f->U64(s.peak_pms);
-  f->F64(s.total_cost);
-}
+using cepshed::testing::FoldMatches;
+using cepshed::testing::FoldStats;
+using cepshed::testing::Fnv;
 
 /// The series every driver already published before the per-event step
 /// was shared, slot by slot.

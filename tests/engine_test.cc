@@ -344,7 +344,7 @@ TEST_F(EngineTest, VacuumAtExactWindowBoundaryKeepsMatchesCompletable) {
 
 TEST_F(EngineTest, VacuumRespectsCountWindows) {
   // Regression: count-window queries alias nfa->window() to the count, so
-  // the old Vacuum — which always ran the *time*-based EvictExpired — read
+  // the old Vacuum — which always ran a *time*-based expiry sweep — read
   // "3 events" as "3 microseconds" and evicted matches that were well
   // inside the count window whenever timestamps outpace sequence numbers.
   auto q = ParseQuery("PATTERN SEQ(A a, B b) WHERE a.ID = b.ID WITHIN 3 EVENTS");

@@ -1,7 +1,7 @@
 // Copyright (c) the CepShed authors. Licensed under the Apache License 2.0.
 //
-// Differential pinning of the deadline-ordered expiry path (DESIGN.md
-// §3.9). Two layers:
+// Pinning of the deadline-ordered expiry path (DESIGN.md §3.9), the
+// engine's only expiry mechanism. Two layers:
 //
 //  1. Store-level randomized property: against a brute-force oracle (the
 //     definitional Expired/ExpiredByCount predicates over every live
@@ -12,13 +12,14 @@
 //     multi-level jumps and zero-width rechecks). The wheel-occupancy
 //     invariant (entries == live matches + witnesses) holds throughout.
 //
-//  2. Engine-level: a wheel engine and a scan engine fed the same stream
-//     — with deterministic state shedding, periodic Vacuums, aggressive
-//     compaction, and a mid-stream extract/adopt migration episode — must
-//     produce byte-identical matches and stats (every counter, peak_pms,
-//     and total cost units) across time windows, count windows, Kleene
-//     closure, negation witnesses, and all selection policies (strict
-//     contiguity additionally toggles the generation-list fast path).
+//  2. Engine-level goldens: one hostile stream — with deterministic state
+//     shedding, periodic Vacuums, aggressive compaction, and a mid-stream
+//     extract/adopt migration episode — must reproduce pinned fingerprints
+//     of the matches and stats (every counter, peak_pms, and total cost
+//     units) across time windows, count windows, Kleene closure, negation
+//     witnesses, and all selection policies. They were recorded while the
+//     retired O(live) scan expiry and strict-contiguity scan still ran
+//     beside the wheel and matched it byte for byte.
 
 #include <cstdint>
 #include <memory>
@@ -39,6 +40,9 @@
 namespace cepshed {
 namespace {
 
+using cepshed::testing::FoldMatches;
+using cepshed::testing::FoldStats;
+using cepshed::testing::Fnv;
 using cepshed::testing::MakeAbcdSchema;
 using cepshed::testing::MakeEvent;
 using cepshed::testing::MakeQ1;
@@ -66,10 +70,8 @@ void RunStoreProperty(bool count_mode, uint64_t seed) {
 
   PartialMatchStore donor(kNumStates, kNumStates);
   PartialMatchStore recipient(kNumStates, kNumStates);
-  donor.ConfigureExpiry(count_mode ? 0 : window, count_mode ? count_window : 0,
-                        /*use_wheel=*/true);
-  recipient.ConfigureExpiry(count_mode ? 0 : window,
-                            count_mode ? count_window : 0, /*use_wheel=*/true);
+  donor.ConfigureExpiry(count_mode ? 0 : window, count_mode ? count_window : 0);
+  recipient.ConfigureExpiry(count_mode ? 0 : window, count_mode ? count_window : 0);
 
   std::mt19937_64 rng(seed);
   // A negative starting clock exercises the order-preserving signed→
@@ -210,7 +212,7 @@ TEST(ExpiryWheelStore, RandomizedCountWindowMatchesOracle) {
 
 TEST(ExpiryWheelStore, DeadlineKeyIsMonotoneAcrossSignFlip) {
   PartialMatchStore store(1, 1);
-  store.ConfigureExpiry(/*window=*/100, /*count_window=*/0, true);
+  store.ConfigureExpiry(/*window=*/100, /*count_window=*/0);
   PartialMatch a, b, c;
   a.start_ts = -500;
   b.start_ts = -1;
@@ -220,30 +222,7 @@ TEST(ExpiryWheelStore, DeadlineKeyIsMonotoneAcrossSignFlip) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level wheel-vs-scan byte equality.
-
-void ExpectEngineStatsEqual(const EngineStats& a, const EngineStats& b) {
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.pms_created, b.pms_created);
-  EXPECT_EQ(a.witnesses_created, b.witnesses_created);
-  EXPECT_EQ(a.matches_emitted, b.matches_emitted);
-  EXPECT_EQ(a.matches_vetoed, b.matches_vetoed);
-  EXPECT_EQ(a.pms_evicted, b.pms_evicted);
-  EXPECT_EQ(a.predicate_evals, b.predicate_evals);
-  EXPECT_EQ(a.candidates_scanned, b.candidates_scanned);
-  EXPECT_EQ(a.index_probes, b.index_probes);
-  EXPECT_EQ(a.peak_pms, b.peak_pms);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-}
-
-void ExpectMatchesIdentical(const std::vector<Match>& a,
-                            const std::vector<Match>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].detected_at, b[i].detected_at);
-    EXPECT_EQ(a[i].Key(), b[i].Key());
-  }
-}
+// Engine-level goldens.
 
 uint64_t MixId(uint64_t seed, uint64_t id) {
   uint64_t h = seed ^ (id * 0x9E3779B97F4A7C15ull);
@@ -274,70 +253,63 @@ std::vector<EventPtr> MakeHostileStream(const Schema& schema, size_t n,
   return events;
 }
 
-struct EngineRunConfig {
-  bool use_wheel = true;
-  bool use_strict_gen_list = true;
-  bool shed = true;
-  bool vacuum = true;
-  bool force_compaction = true;
-};
-
 struct EngineRunResult {
   std::vector<Match> matches;
   EngineStats stats;
 };
 
+uint64_t Fingerprint(const EngineRunResult& run) {
+  Fnv f;
+  FoldMatches(run.matches, &f);
+  FoldStats(run.stats, &f);
+  return f.value();
+}
+
+/// Replays `events` under aggressive compaction, with deterministic state
+/// shedding every 97 events and, if `vacuum`, a Vacuum every 331.
 EngineRunResult RunEngine(const Schema& schema, const Query& query,
-                          const std::vector<EventPtr>& events,
-                          const EngineRunConfig& config) {
+                          const std::vector<EventPtr>& events, bool vacuum) {
   auto nfa = Nfa::Compile(query, &schema);
   EXPECT_TRUE(nfa.ok()) << nfa.status().message();
   EngineOptions opts;
-  opts.use_expiry_wheel = config.use_wheel;
-  opts.use_strict_gen_list = config.use_strict_gen_list;
-  if (config.force_compaction) {
-    opts.compact_min_dead = 8;
-    opts.compact_dead_fraction = 0.05;
-  }
+  opts.compact_min_dead = 8;
+  opts.compact_dead_fraction = 0.05;
   Engine engine(*nfa, opts);
   EngineRunResult run;
   size_t i = 0;
   for (const EventPtr& e : events) {
     engine.Process(e, &run.matches);
     ++i;
-    if (config.shed && i % 97 == 0) {
-      // Deterministic state shedding: both arms create matches in the
-      // same order, so content-hashing the match id selects the same
-      // victims — this is exactly what the equality under test implies.
+    if (i % 97 == 0) {
+      // Content-hashing the match id selects the same victims every run.
       std::vector<PartialMatch*> victims;
       engine.store().ForEachAlive([&](PartialMatch* pm) {
         if (MixId(0xC0FFEEull, pm->id) % 8 == 0) victims.push_back(pm);
       });
       for (PartialMatch* pm : victims) engine.store().Kill(pm);
     }
-    if (config.vacuum && i % 331 == 0) engine.Vacuum(e->timestamp());
+    if (vacuum && i % 331 == 0) engine.Vacuum(e->timestamp());
   }
   run.stats = engine.stats();
   return run;
 }
 
-void ExpectWheelScanEqual(const Schema& schema, const Query& query,
-                          const std::vector<EventPtr>& events,
-                          bool shed = true) {
+/// Checks the runs without and with periodic Vacuums against `pinned`.
+void ExpectPinnedRuns(const Schema& schema, const Query& query,
+                      const std::vector<EventPtr>& events,
+                      const uint64_t (&pinned)[2]) {
   for (const bool vacuum : {false, true}) {
     SCOPED_TRACE(std::string(vacuum ? "with" : "without") + " vacuum");
-    EngineRunConfig wheel_cfg;
-    wheel_cfg.shed = shed;
-    wheel_cfg.vacuum = vacuum;
-    EngineRunConfig scan_cfg = wheel_cfg;
-    scan_cfg.use_wheel = false;
-    scan_cfg.use_strict_gen_list = false;
-    const EngineRunResult wheel = RunEngine(schema, query, events, wheel_cfg);
-    const EngineRunResult scan = RunEngine(schema, query, events, scan_cfg);
-    ASSERT_GT(wheel.stats.pms_evicted, 0u)
-        << "degenerate run: nothing ever expired, the equality is vacuous";
-    ExpectMatchesIdentical(wheel.matches, scan.matches);
-    ExpectEngineStatsEqual(wheel.stats, scan.stats);
+    const EngineRunResult run = RunEngine(schema, query, events, vacuum);
+    // Strict contiguity kills every match the next event does not extend,
+    // so its matches die before their windows do.
+    if (query.policy == SelectionPolicy::kStrictContiguity) {
+      ASSERT_FALSE(run.matches.empty()) << "degenerate run: nothing matched";
+    } else {
+      ASSERT_GT(run.stats.pms_evicted, 0u) << "degenerate run: nothing expired";
+    }
+    const uint64_t got = Fingerprint(run);
+    EXPECT_EQ(got, pinned[vacuum]) << std::hex << "0x" << got;
   }
 }
 
@@ -354,121 +326,84 @@ class ExpiryWheelEngine : public ::testing::Test {
 };
 
 TEST_F(ExpiryWheelEngine, TimeWindowQ1) {
-  ExpectWheelScanEqual(schema_, MakeQ1(/*window=*/Millis(2)), stream_);
+  ExpectPinnedRuns(schema_, MakeQ1(/*window=*/Millis(2)), stream_,
+                   {0xab9a0013853b10a1ULL, 0x795021db3a02d401ULL});
 }
 
 TEST_F(ExpiryWheelEngine, CountWindow) {
   Query q = MakeQ1(Millis(8));
   q.count_window = 180;
-  ExpectWheelScanEqual(schema_, q, stream_);
+  ExpectPinnedRuns(schema_, q, stream_, {0xef0c3ff765d7c766ULL, 0x311f129763e23fa3ULL});
 }
 
 TEST_F(ExpiryWheelEngine, KleeneClosure) {
-  ExpectWheelScanEqual(
-      schema_,
-      ParseOrDie("PATTERN SEQ(A a, A+{1,3} b[], B c) "
-                 "WHERE a.ID = b[i].ID AND a.ID = c.ID WITHIN 2ms"),
-      stream_);
+  ExpectPinnedRuns(schema_,
+                   ParseOrDie("PATTERN SEQ(A a, A+{1,3} b[], B c) "
+                              "WHERE a.ID = b[i].ID AND a.ID = c.ID WITHIN 2ms"),
+                   stream_, {0x8998da5a515fa821ULL, 0x41cb0d9a3fc4f5e3ULL});
 }
 
 TEST_F(ExpiryWheelEngine, NegationWitnessesRideTheWheel) {
-  ExpectWheelScanEqual(
-      schema_,
-      ParseOrDie("PATTERN SEQ(A a, !B b, C c) "
-                 "WHERE a.ID = c.ID AND b.ID = a.ID WITHIN 2ms"),
-      stream_);
+  ExpectPinnedRuns(schema_,
+                   ParseOrDie("PATTERN SEQ(A a, !B b, C c) "
+                              "WHERE a.ID = c.ID AND b.ID = a.ID WITHIN 2ms"),
+                   stream_, {0x77cdca355aef1503ULL, 0x0e1f4da5a87e8ea1ULL});
 }
 
 TEST_F(ExpiryWheelEngine, SkipTillNextMatch) {
   Query q = MakeQ1(Millis(2));
   q.policy = SelectionPolicy::kSkipTillNextMatch;
-  ExpectWheelScanEqual(schema_, q, stream_);
+  ExpectPinnedRuns(schema_, q, stream_, {0xfe060cb3dbe4b5b5ULL, 0xd6284a32e94623ddULL});
 }
 
 TEST_F(ExpiryWheelEngine, StrictContiguityAllFastPathCombinations) {
-  // Strict contiguity has two independent fast paths (wheel, generation
-  // list); every combination must match the double-scan baseline.
+  // The generation-list kill and the wheel are the engine's only strict
+  // contiguity and expiry paths; this pins them together.
   Query q = ParseOrDie(
       "PATTERN SEQ(A a, B b, C c) WHERE a.ID = b.ID AND a.ID = c.ID "
       "WITHIN 2ms");
   q.policy = SelectionPolicy::kStrictContiguity;
-  EngineRunConfig base_cfg;
-  base_cfg.use_wheel = false;
-  base_cfg.use_strict_gen_list = false;
-  const EngineRunResult base = RunEngine(schema_, q, stream_, base_cfg);
-  for (const bool wheel : {false, true}) {
-    for (const bool gen_list : {false, true}) {
-      if (!wheel && !gen_list) continue;
-      SCOPED_TRACE("wheel=" + std::to_string(wheel) +
-                   " gen_list=" + std::to_string(gen_list));
-      EngineRunConfig cfg;
-      cfg.use_wheel = wheel;
-      cfg.use_strict_gen_list = gen_list;
-      const EngineRunResult run = RunEngine(schema_, q, stream_, cfg);
-      ExpectMatchesIdentical(run.matches, base.matches);
-      ExpectEngineStatsEqual(run.stats, base.stats);
-    }
-  }
+  ExpectPinnedRuns(schema_, q, stream_, {0x503d4bbdf8d9c5adULL, 0xd23fe3ebc57475a7ULL});
 }
 
 // ---------------------------------------------------------------------------
 // Migration episode: adopted matches must land on the recipient's wheel.
 
-struct MigrationRunResult {
+TEST_F(ExpiryWheelEngine, MigratedMatchesExpireOnRecipientWheel) {
+  auto nfa = Nfa::Compile(MakeQ1(Millis(2)), &schema_);
+  ASSERT_TRUE(nfa.ok()) << nfa.status().message();
+  Engine donor(*nfa, EngineOptions{});
+  Engine recipient(*nfa, EngineOptions{});
+  const int id_attr = schema_.AttributeIndex("ID");
+
   std::vector<Match> donor_matches;
   std::vector<Match> recipient_matches;
-  EngineStats donor_stats;
-  EngineStats recipient_stats;
-};
-
-MigrationRunResult RunMigrationEpisode(const Schema& schema, const Query& query,
-                                       const std::vector<EventPtr>& events,
-                                       bool use_wheel) {
-  auto nfa = Nfa::Compile(query, &schema);
-  EXPECT_TRUE(nfa.ok()) << nfa.status().message();
-  EngineOptions opts;
-  opts.use_expiry_wheel = use_wheel;
-  Engine donor(*nfa, opts);
-  Engine recipient(*nfa, opts);
-  const int id_attr = schema.AttributeIndex("ID");
-
-  MigrationRunResult run;
-  const size_t half = events.size() / 2;
-  for (size_t i = 0; i < half; ++i) {
-    donor.Process(events[i], &run.donor_matches);
-  }
+  const size_t half = stream_.size() / 2;
+  for (size_t i = 0; i < half; ++i) donor.Process(stream_[i], &donor_matches);
   // Seal-and-drain handover of the even-ID partition, mid-window: the
   // moved matches carry live deadlines the recipient must keep honoring.
   MigratedState moved = donor.ExtractPartialMatches([&](const PartialMatch& pm) {
     const Event* first = pm.EventAt(0);
     return first != nullptr && first->attr(id_attr).AsInt() % 2 == 0;
   });
-  EXPECT_FALSE(moved.empty());
+  ASSERT_FALSE(moved.empty());
   recipient.AdoptPartialMatches(std::move(moved));
-  for (size_t i = half; i < events.size(); ++i) {
-    const bool even = events[i]->attr(id_attr).AsInt() % 2 == 0;
-    Engine& owner = even ? recipient : donor;
-    owner.Process(events[i],
-                  even ? &run.recipient_matches : &run.donor_matches);
+  for (size_t i = half; i < stream_.size(); ++i) {
+    const bool even = stream_[i]->attr(id_attr).AsInt() % 2 == 0;
+    (even ? recipient : donor)
+        .Process(stream_[i], even ? &recipient_matches : &donor_matches);
   }
   // Post-episode vacuums reap the stragglers on both wheels.
-  donor.Vacuum(events.back()->timestamp());
-  recipient.Vacuum(events.back()->timestamp());
-  run.donor_stats = donor.stats();
-  run.recipient_stats = recipient.stats();
-  return run;
-}
-
-TEST_F(ExpiryWheelEngine, MigratedMatchesExpireOnRecipientWheel) {
-  const Query q = MakeQ1(Millis(2));
-  const MigrationRunResult wheel = RunMigrationEpisode(schema_, q, stream_, true);
-  const MigrationRunResult scan = RunMigrationEpisode(schema_, q, stream_, false);
-  ASSERT_GT(wheel.recipient_stats.pms_evicted, 0u)
+  donor.Vacuum(stream_.back()->timestamp());
+  recipient.Vacuum(stream_.back()->timestamp());
+  ASSERT_GT(recipient.stats().pms_evicted, 0u)
       << "no adopted match ever expired — the migration leg is vacuous";
-  ExpectMatchesIdentical(wheel.donor_matches, scan.donor_matches);
-  ExpectMatchesIdentical(wheel.recipient_matches, scan.recipient_matches);
-  ExpectEngineStatsEqual(wheel.donor_stats, scan.donor_stats);
-  ExpectEngineStatsEqual(wheel.recipient_stats, scan.recipient_stats);
+  Fnv f;
+  FoldMatches(donor_matches, &f);
+  FoldMatches(recipient_matches, &f);
+  FoldStats(donor.stats(), &f);
+  FoldStats(recipient.stats(), &f);
+  EXPECT_EQ(f.value(), 0x18188f124987ddecULL) << std::hex << "0x" << f.value();
 }
 
 // ---------------------------------------------------------------------------
@@ -516,8 +451,8 @@ TEST_F(ExpiryWheelEngine, VacuumWithNoDeadIsANoOp) {
     vacuumed.Process(stream_[i], &vacuumed_matches);
     control.Process(stream_[i], &control_matches);
   }
-  ExpectMatchesIdentical(vacuumed_matches, control_matches);
-  ExpectEngineStatsEqual(vacuumed.stats(), control.stats());
+  EXPECT_EQ(Fingerprint({vacuumed_matches, vacuumed.stats()}),
+            Fingerprint({control_matches, control.stats()}));
 }
 
 }  // namespace

@@ -13,9 +13,11 @@
 //     bindings — value, truthiness, AND accumulated cost units must agree
 //     exactly (the units feed the cost model's Gamma-, so parity is a hard
 //     contract, not an approximation);
-//  3. engine-level differentials: the paper's Q1-Q4 replayed with
-//     use_pred_vm on vs. off must produce byte-identical match sets and
-//     identical stats including total_cost.
+//  3. engine-level goldens: the paper's Q1-Q4 (and an IN/OR/SQRT query)
+//     replayed on the engine must reproduce pinned fingerprints of the
+//     match sets and stats including total_cost. They were recorded while
+//     the engine could still run every predicate on the interpreter, and
+//     both modes produced them byte for byte.
 //
 // The whole suite runs under ASan+UBSan in the debug-asan CI job.
 
@@ -23,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -426,56 +427,31 @@ TEST(PredVmFuzzTest, RandomExpressionsAgreeWithInterpreterExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Engine-level differentials: VM on vs. off
+// 3. Engine-level goldens
 // ---------------------------------------------------------------------------
 
-struct CanonMatch {
-  Timestamp ts;
-  std::string key;
-  bool operator==(const CanonMatch& o) const = default;
-  bool operator<(const CanonMatch& o) const {
-    if (ts != o.ts) return ts < o.ts;
-    return key < o.key;
-  }
-};
-
-std::vector<CanonMatch> Canon(const std::vector<Match>& matches) {
-  std::vector<CanonMatch> out;
-  out.reserve(matches.size());
-  for (const Match& m : matches) out.push_back({m.detected_at, m.Key()});
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void RunEngineDifferential(const std::string& label, Query query, const Schema& schema,
-                           const EventStream& stream, bool index_expression_keys = false) {
+/// Replays `stream` and checks a fingerprint of the matches, every stat,
+/// and the summed per-event cost against `pinned`.
+void ExpectPinnedRun(const std::string& label, Query query, const Schema& schema,
+                     const EventStream& stream, uint64_t pinned,
+                     bool index_expression_keys = false) {
   SCOPED_TRACE(label);
-  EngineStats stats[2];
-  std::vector<Match> matches[2];
-  double total_cost[2] = {0.0, 0.0};
-  for (int use_vm = 0; use_vm < 2; ++use_vm) {
-    auto nfa = Nfa::Compile(query, &schema);
-    ASSERT_TRUE(nfa.ok()) << nfa.status().ToString();
-    EngineOptions options;
-    options.use_pred_vm = use_vm == 1;
-    options.index_expression_keys = index_expression_keys;
-    Engine engine(*nfa, options);
-    for (size_t i = 0; i < stream.size(); ++i) {
-      total_cost[use_vm] += engine.Process(stream[i], &matches[use_vm]);
-    }
-    stats[use_vm] = engine.stats();
+  auto nfa = Nfa::Compile(std::move(query), &schema);
+  ASSERT_TRUE(nfa.ok()) << nfa.status().ToString();
+  EngineOptions options;
+  options.index_expression_keys = index_expression_keys;
+  Engine engine(*nfa, options);
+  std::vector<Match> matches;
+  double total_cost = 0.0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    total_cost += engine.Process(stream[i], &matches);
   }
-  // Byte-identical output and *exactly* equal accounting.
-  EXPECT_EQ(Canon(matches[0]), Canon(matches[1]));
-  EXPECT_EQ(stats[0].matches_emitted, stats[1].matches_emitted);
-  EXPECT_EQ(stats[0].matches_vetoed, stats[1].matches_vetoed);
-  EXPECT_EQ(stats[0].pms_created, stats[1].pms_created);
-  EXPECT_EQ(stats[0].predicate_evals, stats[1].predicate_evals);
-  EXPECT_EQ(stats[0].candidates_scanned, stats[1].candidates_scanned);
-  EXPECT_EQ(stats[0].index_probes, stats[1].index_probes);
-  EXPECT_EQ(stats[0].total_cost, stats[1].total_cost);
-  EXPECT_EQ(total_cost[0], total_cost[1]);
-  EXPECT_GT(stats[0].predicate_evals, 0u);
+  EXPECT_GT(engine.stats().predicate_evals, 0u);
+  cepshed::testing::Fnv f;
+  cepshed::testing::FoldMatches(matches, &f);
+  cepshed::testing::FoldStats(engine.stats(), &f);
+  f.F64(total_cost);
+  EXPECT_EQ(f.value(), pinned) << std::hex << "0x" << f.value();
 }
 
 class PredVmEngineTest : public ::testing::Test {
@@ -499,20 +475,20 @@ class PredVmEngineTest : public ::testing::Test {
 TEST_F(PredVmEngineTest, Q1MatchesAndCostsAreIdentical) {
   auto q = queries::Q1();
   ASSERT_TRUE(q.ok());
-  RunEngineDifferential("Q1", *q, ds1_schema_, *ds1_);
+  ExpectPinnedRun("Q1", *q, ds1_schema_, *ds1_, 0x62d9e248aabc40ebULL);
 }
 
 TEST_F(PredVmEngineTest, Q1WithExpressionKeysExercisesVmBuildKeys) {
   auto q = queries::Q1();
   ASSERT_TRUE(q.ok());
-  RunEngineDifferential("Q1+exprkeys", *q, ds1_schema_, *ds1_,
-                        /*index_expression_keys=*/true);
+  ExpectPinnedRun("Q1+exprkeys", *q, ds1_schema_, *ds1_, 0x62d9e248aabc40ebULL,
+                  /*index_expression_keys=*/true);
 }
 
 TEST_F(PredVmEngineTest, Q2KleeneIterationPredicatesAreIdentical) {
   auto q = queries::Q2(/*kleene_reps=*/3);
   ASSERT_TRUE(q.ok());
-  RunEngineDifferential("Q2", *q, ds1_schema_, *ds1_);
+  ExpectPinnedRun("Q2", *q, ds1_schema_, *ds1_, 0x2bce5072139c2ad0ULL);
 }
 
 TEST_F(PredVmEngineTest, Q3AggregateFallbackCoexistsWithCompiledPredicates) {
@@ -520,13 +496,13 @@ TEST_F(PredVmEngineTest, Q3AggregateFallbackCoexistsWithCompiledPredicates) {
   // (div, sqrt, double comparisons) runs compiled. Output must not care.
   auto q = queries::Q3();
   ASSERT_TRUE(q.ok());
-  RunEngineDifferential("Q3", *q, ds2_schema_, *ds2_);
+  ExpectPinnedRun("Q3", *q, ds2_schema_, *ds2_, 0xe44932f96792d0e1ULL);
 }
 
 TEST_F(PredVmEngineTest, Q4NegationWitnessEvaluationIsIdentical) {
   auto q = queries::Q4();
   ASSERT_TRUE(q.ok());
-  RunEngineDifferential("Q4", *q, ds1_schema_, *ds1_);
+  ExpectPinnedRun("Q4", *q, ds1_schema_, *ds1_, 0x874592a13768641dULL);
 }
 
 TEST_F(PredVmEngineTest, MembershipDisjunctionAndSqrtQueryIsIdentical) {
@@ -537,7 +513,7 @@ TEST_F(PredVmEngineTest, MembershipDisjunctionAndSqrtQueryIsIdentical) {
       "AND (SQRT(b.V) < 3 OR NOT c.V % 2 = 0 OR b.V - a.V IN {0, -1}) "
       "WITHIN 8ms");
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  RunEngineDifferential("inset-or-sqrt", *q, ds1_schema_, *ds1_);
+  ExpectPinnedRun("inset-or-sqrt", *q, ds1_schema_, *ds1_, 0x7ce86a21fa95252eULL);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -24,67 +23,21 @@
 #include "src/workload/ds2.h"
 #include "src/workload/google_trace.h"
 #include "src/workload/lab/hostile.h"
+#include "tests/test_util.h"
 
 namespace cepshed {
 namespace {
 
 // --- canonical event checksum ------------------------------------------
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t Fold(uint64_t h, const void* data, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t FoldU64(uint64_t h, uint64_t v) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
-  return Fold(h, bytes, 8);
-}
-
-uint64_t FoldDouble(uint64_t h, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return FoldU64(h, bits);
-}
-
 /// Checksums the first `n` events (or all, if fewer) byte-canonically:
 /// every field is folded in a fixed little-endian order, so the value is
 /// identical on any platform the Rng is stable on.
 uint64_t ChecksumStream(const EventStream& stream, size_t n) {
-  uint64_t h = kFnvOffset;
+  cepshed::testing::Fnv f;
   const size_t limit = std::min(n, stream.size());
-  for (size_t i = 0; i < limit; ++i) {
-    const Event& e = *stream[i];
-    h = FoldU64(h, static_cast<uint64_t>(e.type()));
-    h = FoldU64(h, static_cast<uint64_t>(e.timestamp()));
-    h = FoldU64(h, e.seq());
-    for (size_t a = 0; a < e.num_attrs(); ++a) {
-      const Value& v = e.attr(static_cast<int>(a));
-      h = FoldU64(h, static_cast<uint64_t>(v.type()));
-      switch (v.type()) {
-        case ValueType::kNull:
-          break;
-        case ValueType::kInt:
-          h = FoldU64(h, static_cast<uint64_t>(v.AsInt()));
-          break;
-        case ValueType::kDouble:
-          h = FoldDouble(h, v.AsDouble());
-          break;
-        case ValueType::kString:
-          h = FoldU64(h, v.AsString().size());
-          h = Fold(h, v.AsString().data(), v.AsString().size());
-          break;
-      }
-    }
-  }
-  return h;
+  for (size_t i = 0; i < limit; ++i) cepshed::testing::FoldEvent(*stream[i], &f);
+  return f.value();
 }
 
 constexpr size_t kGoldenEvents = 2000;

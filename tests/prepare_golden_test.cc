@@ -11,7 +11,6 @@
 // print actual vs pinned.
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -21,31 +20,12 @@
 #include "src/workload/ds1.h"
 #include "src/workload/ds2.h"
 #include "src/workload/queries.h"
+#include "tests/test_util.h"
 
 namespace cepshed {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-class Fnv {
- public:
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= static_cast<unsigned char>(v >> (8 * i));
-      h_ *= kFnvPrime;
-    }
-  }
-  void F64(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = kFnvOffset;
-};
+using cepshed::testing::Fnv;
 
 /// Fingerprints of one prepared harness, one per trained ingredient.
 struct PrepareFingerprint {

@@ -107,8 +107,9 @@ TEST(PartialMatchStoreTest, CountsAliveAndDead) {
   EXPECT_TRUE(store.bucket(1).empty());
 }
 
-TEST(PartialMatchStoreTest, EvictExpired) {
+TEST(PartialMatchStoreTest, ReapExpired) {
   PartialMatchStore store(2, 2);
+  store.ConfigureExpiry(/*window=*/250, /*count_window=*/0);
   for (int i = 0; i < 5; ++i) {
     auto pm = std::make_unique<PartialMatch>();
     pm->state = 0;
@@ -116,7 +117,7 @@ TEST(PartialMatchStoreTest, EvictExpired) {
     store.Add(std::move(pm));
   }
   // Window 250 at now=500: PMs with start_ts < 250 expire (0,100,200).
-  EXPECT_EQ(store.EvictExpired(500, 250), 3u);
+  EXPECT_EQ(store.ReapExpired(/*now=*/500, /*seq=*/0), 3u);
   EXPECT_EQ(store.NumAlive(), 2u);
 }
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 
@@ -78,7 +77,7 @@ TEST(CsvTest, RoundTripsGeneratedStream) {
   const EventStream original = GenerateDs1(schema, opts);
   std::stringstream buffer;
   ASSERT_TRUE(WriteCsv(original, &buffer).ok());
-  auto restored = ReadCsv(schema, &buffer);
+  auto restored = ReadCsv(schema, buffer.str());
   ASSERT_TRUE(restored.ok()) << restored.status();
   ASSERT_EQ(restored->size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
@@ -94,14 +93,12 @@ TEST(CsvTest, RoundTripsGeneratedStream) {
 
 TEST(CsvTest, RejectsWrongHeader) {
   Schema schema = MakeDs1Schema();
-  std::stringstream buffer("nope,header\n");
-  EXPECT_FALSE(ReadCsv(schema, &buffer).ok());
+  EXPECT_FALSE(ReadCsv(schema, "nope,header\n").ok());
   // A wrong header is a hard error even in lenient mode: the file is the
   // wrong shape, not a stream with some bad rows.
-  std::stringstream again("nope,header\n");
   CsvReadOptions lenient;
   lenient.lenient = true;
-  EXPECT_FALSE(ReadCsv(schema, &again, lenient).ok());
+  EXPECT_FALSE(ReadCsv(schema, "nope,header\n", lenient).ok());
 }
 
 // One well-formed DS1 CSV with every malformed-row class in the middle:
@@ -120,19 +117,17 @@ constexpr char kDirtyCsv[] =
 
 TEST(CsvTest, StrictModeFailsOnTheFirstMalformedRow) {
   Schema schema = MakeDs1Schema();
-  std::stringstream buffer(kDirtyCsv);
-  auto read = ReadCsv(schema, &buffer);
+  auto read = ReadCsv(schema, kDirtyCsv);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kParseError);
 }
 
 TEST(CsvTest, LenientModeSkipsAndCountsMalformedRows) {
   Schema schema = MakeDs1Schema();
-  std::stringstream buffer(kDirtyCsv);
   CsvReadOptions options;
   options.lenient = true;
   CsvReadStats stats;
-  auto read = ReadCsv(schema, &buffer, options, &stats);
+  auto read = ReadCsv(schema, kDirtyCsv, options, &stats);
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(stats.rows_read, 8u);
   EXPECT_EQ(stats.malformed_rows, 5u);
@@ -140,24 +135,6 @@ TEST(CsvTest, LenientModeSkipsAndCountsMalformedRows) {
   EXPECT_EQ((*read)[0]->timestamp(), 10);
   EXPECT_EQ((*read)[1]->timestamp(), 50);
   EXPECT_EQ((*read)[2]->timestamp(), 60);
-}
-
-TEST(CsvTest, WorkloadLoadersAreLenient) {
-  const std::string path = ::testing::TempDir() + "/cepshed_dirty_ds1.csv";
-  {
-    std::ofstream out(path);
-    out << kDirtyCsv;
-  }
-  Schema schema = MakeDs1Schema();
-  CsvReadStats stats;
-  auto read = LoadDs1Csv(schema, path, &stats);
-  ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ(read->size(), 3u);
-  EXPECT_EQ(stats.malformed_rows, 5u);
-  // The stats pointer is optional.
-  auto again = LoadDs1Csv(schema, path);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->size(), 3u);
 }
 
 TEST(Ds1Test, DeterministicPerSeed) {

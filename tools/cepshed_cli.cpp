@@ -7,7 +7,7 @@
 //               [--train historic.csv --strategy hybrid --bound 0.5
 //                --stat avg|p95|p99] [--matches out.csv] [--pm-series]
 //               [--shards N --partition ATTR | --shards N --slice-stride US]
-//               [--lenient] [--mmap]
+//               [--lenient]
 //               [--fault-schedule SPEC --fault-seed N]
 //               [--guard-theta COST --memory-budget-mb MB]
 //               [--metrics-out FILE[.json|.prom] --metrics-interval SEC]
@@ -42,9 +42,10 @@
 // long run can be watched live (`watch cat metrics.prom`).
 //
 // --lenient skips malformed input rows (counted and reported) instead of
-// failing the load. --mmap loads CSV input through the memory-mapped
-// zero-copy reader (src/workload/csv_mmap.h) — same stream, faster load;
-// useful for multi-gigabyte traces. The fault/guard flags apply to the sharded path:
+// failing the load. The --input and --train CSVs must be regular files:
+// they are memory-mapped and parsed in place (src/workload/csv_mmap.h),
+// so a pipe fails with "not a regular file". The fault/guard flags apply
+// to the sharded path:
 // --fault-schedule replays a deterministic fault schedule (see
 // src/fault/fault_injector.h for the DSL, e.g.
 // "burst:at=1000,count=500,factor=30;death:shard=0,at=2000"), and either
@@ -99,7 +100,6 @@ struct CliArgs {
   std::string partition_attr;
   long long slice_stride_us = 0;
   bool lenient = false;
-  bool mmap_input = false;
   std::string fault_schedule;
   unsigned long long fault_seed = 0;
   double guard_theta = 0.0;
@@ -127,7 +127,7 @@ void Usage() {
                "                   [--bound FRACTION] [--stat avg|p95|p99]\n"
                "                   [--matches FILE] [--pm-series]\n"
                "                   [--shards N (--partition ATTR | --slice-stride US)]\n"
-               "                   [--lenient] [--mmap]\n"
+               "                   [--lenient]\n"
                "                   [--fault-schedule SPEC] [--fault-seed N]\n"
                "                   [--guard-theta COST] [--memory-budget-mb MB]\n"
                "                   [--metrics-out FILE] [--metrics-interval SEC]\n"
@@ -185,8 +185,6 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       }
     } else if (flag == "--lenient") {
       args.lenient = true;
-    } else if (flag == "--mmap") {
-      args.mmap_input = true;
     } else if (flag == "--fault-schedule") {
       CEPSHED_ASSIGN_OR_RETURN(args.fault_schedule, next());
     } else if (flag == "--fault-seed") {
@@ -411,16 +409,9 @@ Status Run(const CliArgs& args) {
     capture = std::make_unique<lab::TraceData>(std::move(data));
   } else {
     CEPSHED_ASSIGN_OR_RETURN(csv_schema, LoadSchema(args.schema_path));
-    // --mmap reads through the zero-copy mapped reader; the two readers
-    // are differential-tested to produce identical streams, so the flag
-    // only changes how fast the trace loads, never what it contains.
     CEPSHED_ASSIGN_OR_RETURN(
         EventStream stream,
-        args.mmap_input
-            ? ReadCsvMappedFile(csv_schema, args.input_path, read_options,
-                                &read_stats)
-            : ReadCsvFile(csv_schema, args.input_path, read_options,
-                          &read_stats));
+        ReadCsvMappedFile(csv_schema, args.input_path, read_options, &read_stats));
     csv_input = std::make_unique<EventStream>(std::move(stream));
   }
   const Schema& schema = capture != nullptr ? *capture->schema : csv_schema;
@@ -654,7 +645,7 @@ Status Run(const CliArgs& args) {
                                    "calibration)");
   }
   CEPSHED_ASSIGN_OR_RETURN(EventStream train,
-                           ReadCsvFile(schema, args.train_path, read_options));
+                           ReadCsvMappedFile(schema, args.train_path, read_options));
 
   // --strategy names are a subset of the registry; both flags resolve to a
   // registry spec and share the run path below.
