@@ -16,8 +16,6 @@
 #include "src/obs/metrics.h"
 #include "src/query/parser.h"
 #include "src/runtime/shard_step.h"
-#include "src/workload/csv.h"
-#include "src/workload/csv_mmap.h"
 #include "src/workload/ds1.h"
 #include "src/workload/ds2.h"
 #include "src/workload/queries.h"
@@ -325,75 +323,6 @@ BENCHMARK(BM_EngineKleeneClone)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
-
-/// Ingest + engine pair over one DS1 trace serialized to CSV once. Arg(0)
-/// reads the whole file with ReadCsvMappedFile and feeds the engine event
-/// by event through Process; Arg(1) reads 256-event batches off
-/// MappedCsvReader::NextBatch and feeds them to ProcessBatch, whose column
-/// masks precompute the query's attr-vs-literal filters. The paper queries
-/// are join-only (none of their conjuncts fuse — see batch_ingest_test's
-/// PaperQ1 case), so the query carries the literal screening prefix real
-/// traces see. Results, stats, and cost units are identical in both arms
-/// (batch_ingest_test pins that); the ratio is the batch path's share of a
-/// full pipeline. Not gated.
-struct BatchPipelineFixture {
-  Schema schema = MakeDs1Schema();
-  std::string path = "/tmp/cepshed_bench_batch_ingest.csv";
-  std::shared_ptr<const Nfa> nfa;
-  size_t num_events = 0;
-
-  BatchPipelineFixture() {
-    Ds1Options gen;
-    gen.num_events = 50000;
-    gen.event_gap = 10;
-    gen.seed = 7;
-    const EventStream stream = GenerateDs1(schema, gen);
-    num_events = stream.size();
-    if (!WriteCsvFile(stream, path).ok()) std::abort();
-    auto q = ParseQuery(
-        "PATTERN SEQ(A a, B b) WHERE a.V > 3 AND a.V < 9 AND a.ID != 3 AND "
-        "b.V >= 2 AND b.V <= 8 AND b.ID > 1 AND a.ID = b.ID WITHIN 2ms");
-    nfa = *Nfa::Compile(*q, &schema);
-  }
-
-  static const BatchPipelineFixture& Get() {
-    static BatchPipelineFixture fixture;
-    return fixture;
-  }
-};
-
-void BM_EngineBatchPipeline(benchmark::State& state) {
-  const BatchPipelineFixture& f = BatchPipelineFixture::Get();
-  const bool batched = state.range(0) != 0;
-  size_t matches = 0;
-  for (auto _ : state) {
-    Engine engine(f.nfa, EngineOptions{});
-    std::vector<Match> out;
-    if (batched) {
-      auto reader = MappedCsvReader::Open(f.schema, f.path);
-      if (!reader.ok()) std::abort();
-      std::vector<EventPtr> buf;
-      buf.reserve(256);
-      for (;;) {
-        buf.clear();
-        auto n = reader->NextBatch(256, &buf);
-        if (!n.ok()) std::abort();
-        if (*n == 0) break;
-        engine.ProcessBatch(buf.data(), *n, &out);
-      }
-    } else {
-      auto stream = ReadCsvMappedFile(f.schema, f.path);
-      if (!stream.ok()) std::abort();
-      for (const EventPtr& e : *stream) engine.Process(e, &out);
-    }
-    matches = out.size();
-    benchmark::DoNotOptimize(matches);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.num_events));
-  state.counters["matches"] = static_cast<double>(matches);
-}
-BENCHMARK(BM_EngineBatchPipeline)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_ParseQuery(benchmark::State& state) {
   const std::string text =

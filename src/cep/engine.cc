@@ -36,152 +36,6 @@ Engine::Engine(std::shared_ptr<const Nfa> nfa, EngineOptions options)
   store_.ConfigureExpiry(nfa_->window(), nfa_->query().count_window);
   strict_contiguity_ = nfa_->query().policy == SelectionPolicy::kStrictContiguity;
   BuildIndexLayout();
-  BuildBatchPlan();
-}
-
-void Engine::BuildBatchPlan() {
-  if (vm_ == nullptr) return;
-  batch_plan_of_prog_.assign(static_cast<size_t>(vm_->num_programs()), 0);
-  auto try_add = [&](const NfaState& st, const CompiledPredicate* cp) {
-    if (cp->vm_program < 0) return;
-    if (batch_plan_of_prog_[static_cast<size_t>(cp->vm_program)] != 0) return;
-    PredVmModule::FusedAcSpec spec;
-    if (!vm_->FusedAcProgram(cp->vm_program, &spec)) return;
-    // Only loads that read the current event whenever this predicate runs
-    // with current_elem == elem are precomputable per event. kFirst reads
-    // the current event only on the first bind into a Kleene slot, and
-    // kIterPrev never reads it.
-    if (spec.elem != st.pattern_elem) return;
-    if (spec.selector != RefSelector::kSingle &&
-        spec.selector != RefSelector::kIterCurr &&
-        spec.selector != RefSelector::kLast) {
-      return;
-    }
-    if (spec.attr < 0) return;
-    batch_plan_.push_back(
-        {cp->vm_program, spec.elem, spec.attr, spec.op, spec.constant});
-    batch_plan_of_prog_[static_cast<size_t>(cp->vm_program)] =
-        static_cast<int>(batch_plan_.size());
-  };
-  for (int s = 0; s < nfa_->num_states(); ++s) {
-    const NfaState& st = nfa_->state(s);
-    for (const CompiledPredicate* cp : st.bind_preds) try_add(st, cp);
-    for (const CompiledPredicate* cp : st.iter_preds) try_add(st, cp);
-  }
-}
-
-void Engine::ComputeBatchMasks() {
-  const size_t n = batch_n_;
-  batch_masks_.resize(batch_plan_.size());
-  // Attributes repeat across plan entries (several literal filters on one
-  // column); extract each attribute's SoA column once and reuse it.
-  int extracted_attr = -1;
-  for (size_t k = 0; k < batch_plan_.size(); ++k) {
-    const BatchProgram& bp = batch_plan_[k];
-    if (bp.attr != extracted_attr) {
-      batch_col_i_.resize(n);
-      batch_col_d_.resize(n);
-      batch_col_tag_.assign(n, VmSlot::kNull);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = batch_events_[i]->attr(bp.attr);
-        switch (v.type()) {
-          case ValueType::kInt:
-            batch_col_i_[i] = v.AsInt();
-            batch_col_tag_[i] = VmSlot::kInt;
-            break;
-          case ValueType::kDouble:
-            batch_col_d_[i] = v.AsDouble();
-            batch_col_tag_[i] = VmSlot::kDouble;
-            break;
-          default:
-            break;  // strings and nulls take the generic row path below
-        }
-      }
-      extracted_attr = bp.attr;
-    }
-    std::vector<uint8_t>& mask = batch_masks_[k];
-    mask.resize(n);
-    bool all_int = bp.constant.tag == VmSlot::kInt;
-    bool all_dbl = bp.constant.tag == VmSlot::kDouble;
-    for (size_t i = 0; i < n && (all_int || all_dbl); ++i) {
-      all_int = all_int && batch_col_tag_[i] == VmSlot::kInt;
-      all_dbl = all_dbl && batch_col_tag_[i] == VmSlot::kDouble;
-    }
-    if (all_int) {
-      const int64_t c = bp.constant.i;
-      const int64_t* col = batch_col_i_.data();
-      switch (bp.op) {
-        case CmpOp::kEq: for (size_t i = 0; i < n; ++i) mask[i] = col[i] == c; break;
-        case CmpOp::kNe: for (size_t i = 0; i < n; ++i) mask[i] = col[i] != c; break;
-        case CmpOp::kLt: for (size_t i = 0; i < n; ++i) mask[i] = col[i] < c; break;
-        case CmpOp::kLe: for (size_t i = 0; i < n; ++i) mask[i] = col[i] <= c; break;
-        case CmpOp::kGt: for (size_t i = 0; i < n; ++i) mask[i] = col[i] > c; break;
-        case CmpOp::kGe: for (size_t i = 0; i < n; ++i) mask[i] = col[i] >= c; break;
-      }
-    } else if (all_dbl) {
-      const double c = bp.constant.d;
-      const double* col = batch_col_d_.data();
-      switch (bp.op) {
-        case CmpOp::kEq: for (size_t i = 0; i < n; ++i) mask[i] = col[i] == c; break;
-        case CmpOp::kNe: for (size_t i = 0; i < n; ++i) mask[i] = col[i] != c; break;
-        case CmpOp::kLt: for (size_t i = 0; i < n; ++i) mask[i] = col[i] < c; break;
-        case CmpOp::kLe: for (size_t i = 0; i < n; ++i) mask[i] = col[i] <= c; break;
-        case CmpOp::kGt: for (size_t i = 0; i < n; ++i) mask[i] = col[i] > c; break;
-        case CmpOp::kGe: for (size_t i = 0; i < n; ++i) mask[i] = col[i] >= c; break;
-      }
-    } else {
-      // Mixed/null/string rows: the reference tag-dispatch per row, so the
-      // verdicts stay bit-identical to FusedCompare's generic fallback.
-      for (size_t i = 0; i < n; ++i) {
-        VmSlot l;
-        l.tag = batch_col_tag_[i];
-        if (l.tag == VmSlot::kInt) {
-          l.i = batch_col_i_[i];
-        } else if (l.tag == VmSlot::kDouble) {
-          l.d = batch_col_d_[i];
-        } else {
-          const Value& v = batch_events_[i]->attr(bp.attr);
-          if (v.type() == ValueType::kString) {
-            l.tag = VmSlot::kStr;
-            l.s = &v.AsString();
-          } else {
-            l.tag = VmSlot::kNull;
-            l.i = 0;
-          }
-        }
-        mask[i] = PredVmModule::FusedAcResult(l, bp.constant, bp.op) ? 1 : 0;
-      }
-    }
-  }
-}
-
-void Engine::BeginBatch(const EventPtr* events, size_t n) {
-  batch_n_ = 0;
-  batch_cursor_ = 0;
-  batch_cur_ = -1;
-  if (batch_plan_.empty() || n == 0) return;
-  batch_events_.resize(n);
-  for (size_t i = 0; i < n; ++i) batch_events_[i] = events[i].get();
-  batch_n_ = n;
-  // Mask precompute charges nothing: the full scalar cost (load + compare)
-  // is charged at each consult in EvalPreds, preserving exact cost-unit
-  // parity with unbatched execution.
-  ComputeBatchMasks();
-}
-
-void Engine::EndBatch() {
-  batch_n_ = 0;
-  batch_cursor_ = 0;
-  batch_cur_ = -1;
-}
-
-double Engine::ProcessBatch(const EventPtr* events, size_t n,
-                            std::vector<Match>* out) {
-  BeginBatch(events, n);
-  double cost = 0.0;
-  for (size_t i = 0; i < n; ++i) cost += Process(events[i], out);
-  EndBatch();
-  return cost;
 }
 
 void Engine::BuildIndexLayout() {
@@ -301,25 +155,10 @@ void Engine::FillContext(const PartialMatch* pm, const Event* current, int curre
 bool Engine::EvalPreds(const std::vector<const CompiledPredicate*>& preds, double* cost) {
   for (const CompiledPredicate* cp : preds) {
     double pred_cost = 0.0;
-    bool pass;
-    int plan;
-    if (batch_cur_ >= 0 && cp->vm_program >= 0 &&
-        (plan = batch_plan_of_prog_[static_cast<size_t>(cp->vm_program)]) !=
-            0 &&
-        ctx_.current == batch_events_[static_cast<size_t>(batch_cur_)] &&
-        ctx_.current_elem == batch_plan_[static_cast<size_t>(plan - 1)].elem &&
-        ctx_.negated == nullptr) {
-      // Precomputed batch verdict. The scalar dispatch for this program is
-      // a single fused AC compare: one register-cached load (basic, hit or
-      // miss) plus the compare (basic) — charge exactly that.
-      pass = batch_masks_[static_cast<size_t>(plan - 1)]
-                         [static_cast<size_t>(batch_cur_)] != 0;
-      pred_cost = 2.0 * kExprCostBasic;
-    } else {
-      pass = (vm_ != nullptr && cp->vm_program >= 0)
-                 ? vm_->EvalBool(cp->vm_program, ctx_, &vm_ctx_, &pred_cost)
-                 : cp->expr->EvalBool(ctx_, &pred_cost);
-    }
+    const bool pass =
+        (vm_ != nullptr && cp->vm_program >= 0)
+            ? vm_->EvalBool(cp->vm_program, ctx_, &vm_ctx_, &pred_cost)
+            : cp->expr->EvalBool(ctx_, &pred_cost);
     *cost += pred_cost * options_.costs.pred_weight;
     ++stats_.predicate_evals;
     if (!pass) return false;
@@ -501,21 +340,7 @@ bool Engine::IsVetoed(const Match& match, double* cost) {
       ctx_.current_elem = -1;
       ctx_.negated = w->LastEvent();
       ctx_.negated_elem = neg.pattern_elem;
-      bool all_pass = true;
-      for (const CompiledPredicate* cp : neg.preds) {
-        double pred_cost = 0.0;
-        const bool pass =
-            (vm_ != nullptr && cp->vm_program >= 0)
-                ? vm_->EvalBool(cp->vm_program, ctx_, &vm_ctx_, &pred_cost)
-                : cp->expr->EvalBool(ctx_, &pred_cost);
-        *cost += pred_cost * options_.costs.pred_weight;
-        ++stats_.predicate_evals;
-        if (!pass) {
-          all_pass = false;
-          break;
-        }
-      }
-      if (all_pass) return true;
+      if (EvalPreds(neg.preds, cost)) return true;
     }
   }
   return false;
@@ -549,22 +374,6 @@ void Engine::StorePending(std::vector<Match>* out, double* cost) {
 }
 
 double Engine::Process(const EventPtr& event, std::vector<Match>* out) {
-  if (batch_n_ != 0) {
-    // Locate the event in the active batch. Events arrive in batch order,
-    // possibly with gaps (shed or guard-dropped upstream), so a monotone
-    // scan from the previous position suffices; an event not in the batch
-    // (or a stale batch after a consumer restart) simply runs unmasked.
-    while (batch_cursor_ < batch_n_ &&
-           batch_events_[batch_cursor_] != event.get()) {
-      ++batch_cursor_;
-    }
-    if (batch_cursor_ < batch_n_) {
-      batch_cur_ = static_cast<int>(batch_cursor_);
-      ++batch_cursor_;
-    } else {
-      batch_cur_ = -1;
-    }
-  }
   double cost = options_.costs.per_event_base;
   const Timestamp now = event->timestamp();
   const Duration window = nfa_->window();
@@ -814,7 +623,6 @@ void Engine::Reset() {
   last_seq_ = 0;
   strict_gen_.clear();
   strict_next_gen_.clear();
-  EndBatch();
   // Ids restart at 1, so stale flatten entries must not survive a reset.
   flat_cache_.clear();
   pending_.clear();

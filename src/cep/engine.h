@@ -119,35 +119,6 @@ class Engine {
   /// cost clock).
   double Process(const EventPtr& event, std::vector<Match>* out);
 
-  /// \name Batched execution (DESIGN.md §3.8)
-  ///
-  /// BeginBatch announces the next window of events about to go through
-  /// Process (in order, possibly with shed/dropped gaps). The engine
-  /// extracts the schema attributes referenced by batchable predicates —
-  /// programs that are a single fused attr-vs-literal compare on the
-  /// current event — into SoA columns and precomputes their verdicts in
-  /// tight per-type loops the compiler auto-vectorizes. Process then
-  /// consults the precomputed mask instead of dispatching into the VM,
-  /// charging exactly the cost units and predicate_evals the scalar
-  /// dispatch would have: results, stats, and cost are bit-identical to
-  /// unbatched execution, which the differential harness pins.
-  ///
-  /// A BeginBatch supersedes any previous batch; EndBatch deactivates the
-  /// mask consult early (Process still works, on the scalar path). Calling
-  /// Process on events outside the announced batch is valid — the consult
-  /// simply never matches them.
-  ///@{
-  void BeginBatch(const EventPtr* events, size_t n);
-  void EndBatch();
-  /// Convenience wrapper: BeginBatch, Process each event, EndBatch.
-  /// Returns the summed cost units.
-  double ProcessBatch(const EventPtr* events, size_t n,
-                      std::vector<Match>* out);
-  /// Number of batchable (mask-precomputable) predicate programs in the
-  /// compiled query; 0 means BeginBatch is a no-op for it.
-  size_t BatchablePrograms() const { return batch_plan_.size(); }
-  ///@}
-
   /// The partial-match store (the evaluation state P(k)).
   PartialMatchStore& store() { return store_; }
   const PartialMatchStore& store() const { return store_; }
@@ -288,20 +259,6 @@ class Engine {
   void FillContext(const PartialMatch* pm, const Event* current, int current_elem);
   bool EvalPreds(const std::vector<const CompiledPredicate*>& preds, double* cost);
 
-  /// One batchable predicate: a VM program that is a single fused
-  /// attr-vs-literal compare whose load always reads the current event
-  /// when evaluated with current_elem == elem (selector kSingle/kIterCurr/
-  /// kLast). Collected once at construction.
-  struct BatchProgram {
-    int prog;                 ///< VM program index
-    int16_t elem;             ///< pattern element the load is anchored to
-    int16_t attr;             ///< schema attribute read from the event
-    CmpOp op;
-    VmSlot constant;
-  };
-  void BuildBatchPlan();
-  void ComputeBatchMasks();
-
   /// The match's bindings in stream order, flattened once per match and
   /// memoized. Binding chains are immutable after construction and match
   /// ids are unique per engine lifetime, so a cache hit is always valid;
@@ -354,12 +311,6 @@ class Engine {
   std::vector<const Event*> veto_scratch_;
   std::vector<std::unique_ptr<PartialMatch>> pending_;
   std::vector<const PartialMatch*> pending_parents_;
-  /// Batched-execution state (see BeginBatch). The plan is fixed at
-  /// construction; everything else is per-batch scratch, reused across
-  /// batches. batch_events_ holds raw pointers used only for identity
-  /// comparison against ctx_.current (never dereferenced after
-  /// ComputeBatchMasks returns), so the caller's buffer may recycle the
-  /// EventPtrs while a batch is still active.
   /// Strict-contiguity generation tracking: strict_gen_ holds every
   /// regular match stored by the previous event (possibly tombstoned since
   /// by shedders — the kill loop checks the flag), which under strict
@@ -377,17 +328,6 @@ class Engine {
   /// per-state-per-event deep Value copy with one pointer read.
   std::vector<int> probe_attrs_;
   std::vector<const Value*> probe_keys_;
-  std::vector<BatchProgram> batch_plan_;
-  std::vector<int> batch_plan_of_prog_;  ///< prog -> plan index + 1; 0 = none
-  std::vector<const Event*> batch_events_;
-  std::vector<std::vector<uint8_t>> batch_masks_;  ///< [plan][event] verdicts
-  size_t batch_n_ = 0;       ///< 0 = no batch active
-  size_t batch_cursor_ = 0;  ///< monotone scan position within the batch
-  int batch_cur_ = -1;       ///< batch index of the event Process is handling
-  // SoA column scratch for one plan attribute.
-  std::vector<int64_t> batch_col_i_;
-  std::vector<double> batch_col_d_;
-  std::vector<uint8_t> batch_col_tag_;
   PmClassifier classifier_;
   PmCreatedHook pm_created_hook_;
   MatchHook match_hook_;

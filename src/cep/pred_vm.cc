@@ -186,9 +186,9 @@ static_assert(static_cast<int>(VmOp::kFGeAA) - static_cast<int>(VmOp::kFEqAA) ==
                       static_cast<int>(CmpOp::kGe) - static_cast<int>(CmpOp::kEq),
               "fused compare opcodes must mirror CmpOp order");
 
-/// The compare tail shared by FusedCompare and FusedAcResult: typed fast
-/// paths when both tags agree, interpreter-equivalent generic fallback
-/// otherwise (nulls compare to null, which Truthy maps to false).
+/// FusedCompare's compare tail: typed fast paths when both tags agree,
+/// interpreter-equivalent generic fallback otherwise (nulls compare to
+/// null, which Truthy maps to false).
 VmSlot CompareSlots(const VmSlot& l, const VmSlot& r, CmpOp op) {
   if (l.tag == VmSlot::kInt && r.tag == VmSlot::kInt) {
     switch (op) {
@@ -259,27 +259,6 @@ inline VmSlot PredVmModule::FusedCompare(const VmInsn& in,
       static_cast<int>(in.op) -
       static_cast<int>(ac ? VmOp::kFEqAC : VmOp::kFEqAA));
   return CompareSlots(l, r, op);
-}
-
-bool PredVmModule::FusedAcProgram(int prog, FusedAcSpec* spec) const {
-  const Program& p = programs_[static_cast<size_t>(prog)];
-  if (p.code.size() != 2) return false;
-  const VmInsn& in = p.code[0];
-  if (in.op < VmOp::kFEqAC || in.op > VmOp::kFGeAC) return false;
-  const VmAttrLoad& load = loads_[in.a];
-  spec->elem = load.elem;
-  spec->attr = load.attr;
-  spec->selector = load.selector;
-  spec->op = static_cast<CmpOp>(static_cast<int>(CmpOp::kEq) +
-                                static_cast<int>(in.op) -
-                                static_cast<int>(VmOp::kFEqAC));
-  spec->constant = const_slots_[in.b];
-  return true;
-}
-
-bool PredVmModule::FusedAcResult(const VmSlot& lhs, const VmSlot& constant,
-                                 CmpOp op) {
-  return Truthy(CompareSlots(lhs, constant, op));
 }
 
 VmSlot PredVmModule::Run(const Program& p, const EvalContext& ctx,

@@ -154,28 +154,6 @@ class PredVmModule {
   size_t num_loads() const { return loads_.size(); }
   int num_programs() const { return static_cast<int>(programs_.size()); }
 
-  /// \brief Shape of a program that is exactly one fused attr-vs-constant
-  /// compare — the batchable form Engine::BeginBatch precomputes over an
-  /// event column: which element/attribute the single load reads, with
-  /// which selector, and the compare against which constant.
-  struct FusedAcSpec {
-    int16_t elem = -1;
-    int16_t attr = -1;
-    RefSelector selector = RefSelector::kSingle;
-    CmpOp op = CmpOp::kEq;
-    VmSlot constant{{0}, VmSlot::kNull};
-  };
-
-  /// Fills *spec and returns true iff `prog` is a single fused AC compare.
-  bool FusedAcProgram(int prog, FusedAcSpec* spec) const;
-
-  /// The boolean outcome FusedCompare would produce for one lhs slot
-  /// against `constant` (truthiness applied; no cost or register effects)
-  /// — the reference semantics the engine's batched column kernels must
-  /// reproduce bit for bit.
-  static bool FusedAcResult(const VmSlot& lhs, const VmSlot& constant,
-                            CmpOp op);
-
   /// Renders program `prog` one instruction per line, for diagnostics.
   std::string Disassemble(int prog) const;
 

@@ -70,10 +70,7 @@ void SumStats(const EngineStats& in, EngineStats* out) {
   out->total_cost += in.total_cost;
 }
 
-/// Events a worker pops (and the sequential drain processes) per
-/// Engine::BeginBatch window: large enough to amortize the batched
-/// predicate-mask precompute, small enough to keep the SoA scratch
-/// columns cache-resident.
+/// Most events a worker pops from its queue in one PopBatch claim.
 constexpr size_t kConsumeBatch = 64;
 /// Most events the router stages per shard before a TryPushBatch flush.
 /// The cap binds only under backlog: a stage whose shard queue reads empty
@@ -170,8 +167,7 @@ Status ShardRuntime::ValidatePlan() const {
   }
   if (Elastic()) {
     // Elasticity is validated even for num_shards == 1 (a resize can grow
-    // past one shard) and even under skip_validation for the structural
-    // requirements: resharding a window-sliced plan would need slice
+    // past one shard): resharding a window-sliced plan would need slice
     // re-ownership, which the migration protocol does not implement.
     if (opts_.routing != ShardRouting::kHashPartition) {
       return Status::InvalidArgument(
@@ -186,20 +182,18 @@ Status ShardRuntime::ValidatePlan() const {
           "elastic resharding requires partition_attr: migration ownership "
           "is decided by the partition key of each partial match");
     }
-    if (!opts_.skip_validation) {
-      if (nfa_->query().policy == SelectionPolicy::kStrictContiguity) {
-        return Status::InvalidArgument(
-            "strict contiguity depends on stream-adjacent events of every "
-            "partition; it cannot be hash-sharded");
-      }
-      if (!IsPartitionCorrelated(*nfa_, opts_.partition_attr)) {
-        return Status::InvalidArgument(
-            "query is not equality-correlated on the partition attribute; "
-            "resharding would split matches across owners");
-      }
+    if (nfa_->query().policy == SelectionPolicy::kStrictContiguity) {
+      return Status::InvalidArgument(
+          "strict contiguity depends on stream-adjacent events of every "
+          "partition; it cannot be hash-sharded");
+    }
+    if (!IsPartitionCorrelated(*nfa_, opts_.partition_attr)) {
+      return Status::InvalidArgument(
+          "query is not equality-correlated on the partition attribute; "
+          "resharding would split matches across owners");
     }
   }
-  if (opts_.num_shards == 1 || opts_.skip_validation) return Status::OK();
+  if (opts_.num_shards == 1) return Status::OK();
   const Query& q = nfa_->query();
   if (opts_.routing == ShardRouting::kHashPartition) {
     if (q.policy == SelectionPolicy::kStrictContiguity) {
@@ -332,13 +326,12 @@ struct ShardRuntime::ShardState {
   std::vector<Match> matches;
   ShardResult result;
   std::unique_ptr<RingQueue<EventPtr>> queue;
-  /// In-flight consume batch: popped from the queue in one PopBatch and
-  /// handed to Engine::BeginBatch, with batch_pos marking the next
-  /// unconsumed entry. It survives worker death so a restarted worker (or
-  /// the router, via FinishDeadShard / AbandonShard) resumes exactly where
-  /// the dead worker stopped — the engine's active batch masks index into
-  /// this vector by pointer identity, so it must stay put until every
-  /// entry is consumed or accounted lost.
+  /// In-flight consume batch: popped from the queue in one PopBatch, with
+  /// batch_pos marking the next unconsumed entry. It survives worker death
+  /// so a restarted worker (or the router, via FinishDeadShard /
+  /// AbandonShard) resumes exactly where the dead worker stopped: these
+  /// events already left the queue, so each must still be consumed or
+  /// accounted lost.
   std::vector<EventPtr> batch;
   size_t batch_pos = 0;
   /// Canonical-owner filter for window-slice routing (see Finish).
@@ -419,28 +412,19 @@ struct ShardRuntime::ShardState {
 
   /// Worker-thread body (also the entry point of a restarted worker).
   ///
-  /// Consumes the queue in batches: each PopBatch run is announced to the
-  /// engine with BeginBatch so batchable predicates evaluate from the
-  /// precomputed column masks. The worker deliberately never calls
-  /// EndBatch — after the last Consume of a drained queue it must not
-  /// touch the engine again (the router's handled == pushed barrier takes
-  /// the engine over for migration), and the next BeginBatch supersedes
-  /// the previous window anyway. A restarted worker finds the remainder
-  /// of the batch its predecessor died in and resumes it under a fresh
-  /// BeginBatch before popping anything new.
+  /// Consumes the queue in PopBatch windows. A restarted worker finds the
+  /// remainder of the window its predecessor died in and resumes it before
+  /// popping anything new.
   void WorkerMain() {
     for (;;) {
-      if (batch_pos < batch.size()) {
-        engine->BeginBatch(batch.data() + batch_pos, batch.size() - batch_pos);
-        while (batch_pos < batch.size()) {
-          const size_t i = batch_pos++;
-          if (Consume(batch[i])) {
-            // Simulated worker death: leave the queue open and Finish
-            // unrun; the router detects the exit and restarts or abandons
-            // the shard. The batch remainder stays for the successor.
-            worker_exited.store(true, std::memory_order_release);
-            return;
-          }
+      while (batch_pos < batch.size()) {
+        const size_t i = batch_pos++;
+        if (Consume(batch[i])) {
+          // Simulated worker death: leave the queue open and Finish
+          // unrun; the router detects the exit and restarts or abandons
+          // the shard. The batch remainder stays for the successor.
+          worker_exited.store(true, std::memory_order_release);
+          return;
         }
       }
       batch.clear();
@@ -560,9 +544,8 @@ void ShardRuntime::FinishDeadShard(ShardState* s) const {
     }
   };
   // The dead worker's unconsumed batch remainder comes before the queue:
-  // those events were popped first, and the engine's still-active batch
-  // masks cover exactly these events, so Consume keeps the batched fast
-  // path (further injected deaths are honored mid-remainder).
+  // those events were popped first (further injected deaths are honored
+  // mid-remainder).
   while (s->batch_pos < s->batch.size()) {
     const size_t i = s->batch_pos++;
     deliver(s->batch[i]);
@@ -1013,32 +996,22 @@ Result<ShardRunResult> ShardRuntime::RunSequential(
   // asymmetry stays as before: after abandonment, the parallel router
   // rejects events while the sequential path routes them and loses them.
   std::vector<std::vector<EventPtr>> buffers(shards.size());
-  // Chunked like the parallel worker's PopBatch loop so the engine takes
-  // the same batched predicate fast path; single-threaded, so the closing
-  // EndBatch is safe here (the parallel worker must leave it to the next
-  // BeginBatch).
   const auto drain_buffer = [&](ShardState& s, std::vector<EventPtr>* buffer) {
-    for (size_t base = 0; base < buffer->size(); base += kConsumeBatch) {
-      const size_t n = std::min(kConsumeBatch, buffer->size() - base);
-      s.engine->BeginBatch(buffer->data() + base, n);
-      for (size_t i = base; i < base + n; ++i) {
-        const EventPtr& event = (*buffer)[i];
-        if (s.seq_draining) {
-          s.CountLost();
-          continue;
-        }
-        if (s.Consume(event)) {
-          if (s.restarts < opts_.max_worker_restarts) {
-            ++s.restarts;
-            ++s.result.worker_restarts;
-          } else {
-            s.result.abandoned = true;
-            s.seq_draining = true;
-          }
+    for (const EventPtr& event : *buffer) {
+      if (s.seq_draining) {
+        s.CountLost();
+        continue;
+      }
+      if (s.Consume(event)) {
+        if (s.restarts < opts_.max_worker_restarts) {
+          ++s.restarts;
+          ++s.result.worker_restarts;
+        } else {
+          s.result.abandoned = true;
+          s.seq_draining = true;
         }
       }
     }
-    s.engine->EndBatch();
     buffer->clear();
   };
   ResizeScript script(faults);

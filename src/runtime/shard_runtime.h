@@ -98,9 +98,6 @@ struct ShardRuntimeOptions {
   Duration slice_stride = 0;
   /// Per-shard ring-queue capacity (rounded up to a power of two).
   size_t queue_capacity = 4096;
-  /// Skip the static partition-correlation / policy validation (for tests
-  /// that deliberately run inexact plans).
-  bool skip_validation = false;
   EngineOptions engine;
   LatencyMonitor::Options latency;
   /// Per-shard overload guard (guard.enabled turns it on). Every shard
@@ -228,8 +225,8 @@ class ShardRuntime {
   /// only from that shard's thread). A null factory disables shedding.
   using ShedderFactory = std::function<std::unique_ptr<Shedder>(int shard)>;
 
-  /// Validates the plan (unless opts.skip_validation) and builds the
-  /// runtime. The NFA is shared read-only by all shards.
+  /// Validates the plan and builds the runtime. The NFA is shared
+  /// read-only by all shards.
   static Result<std::unique_ptr<ShardRuntime>> Create(
       std::shared_ptr<const Nfa> nfa, ShardRuntimeOptions opts);
 

@@ -91,6 +91,19 @@ class Cursor {
     }
   }
 
+  /// An element count. Every element takes at least one byte, so a count
+  /// above the bytes left is corrupt; rejecting it bounds every reserve by
+  /// the input size.
+  Result<uint64_t> Count() {
+    uint64_t n;
+    CEPSHED_ASSIGN_OR_RETURN(n, Varint());
+    if (n > data_.size() - pos_) {
+      return Status::ParseError("trace: count " + std::to_string(n) +
+                                " exceeds the bytes left");
+    }
+    return n;
+  }
+
   Result<uint32_t> U32() {
     if (pos_ + 4 > data_.size()) return Truncated();
     uint32_t v = 0;
@@ -127,7 +140,7 @@ class Cursor {
   Result<std::string> String() {
     uint64_t len;
     CEPSHED_ASSIGN_OR_RETURN(len, Varint());
-    if (pos_ + len > data_.size()) return Truncated();
+    if (len > data_.size() - pos_) return Truncated();
     std::string s = data_.substr(pos_, len);
     pos_ += len;
     return s;
@@ -332,7 +345,7 @@ Result<TraceData> ReadTrace(const std::string& path, size_t max_events) {
     CEPSHED_ASSIGN_OR_RETURN(type_v, cur.Varint());
     CEPSHED_ASSIGN_OR_RETURN(ts_v, cur.Varint());
     CEPSHED_ASSIGN_OR_RETURN(seq, cur.Varint());
-    CEPSHED_ASSIGN_OR_RETURN(nattrs, cur.Varint());
+    CEPSHED_ASSIGN_OR_RETURN(nattrs, cur.Count());
     std::vector<Value> attrs;
     attrs.reserve(nattrs);
     for (uint64_t a = 0; a < nattrs; ++a) {
@@ -372,7 +385,7 @@ Result<TraceData> ReadTrace(const std::string& path, size_t max_events) {
         static_cast<int>(type_v), UnZigZag(ts_v), seq, std::move(attrs))));
     if (has_routes) {
       uint64_t nroutes;
-      CEPSHED_ASSIGN_OR_RETURN(nroutes, cur.Varint());
+      CEPSHED_ASSIGN_OR_RETURN(nroutes, cur.Count());
       std::vector<int> route;
       route.reserve(nroutes);
       for (uint64_t r = 0; r < nroutes; ++r) {
@@ -387,7 +400,7 @@ Result<TraceData> ReadTrace(const std::string& path, size_t max_events) {
   if (want == count) {
     if ((flags & kFlagResizes) != 0) {
       uint64_t nresizes;
-      CEPSHED_ASSIGN_OR_RETURN(nresizes, cur.Varint());
+      CEPSHED_ASSIGN_OR_RETURN(nresizes, cur.Count());
       trace.resizes.reserve(nresizes);
       for (uint64_t r = 0; r < nresizes; ++r) {
         TraceResize resize;

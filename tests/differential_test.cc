@@ -499,10 +499,10 @@ TEST_F(DifferentialTest, HashKleeneNextMatch) {
 }
 
 TEST_F(DifferentialTest, HashLiteralFilterAnyMatch) {
-  // Attr-vs-literal predicates are the shapes the engine's batched column
-  // masks cover, so this row exercises BeginBatch windows end to end:
-  // Run's PopBatch worker loop vs RunSequential's chunked drain vs the
-  // unbatched sequential reference must all agree exactly.
+  // Attr-vs-literal predicates on the current event (single fused
+  // compares against a constant): Run's PopBatch worker loop, RunSequential
+  // and the sequential reference must all agree exactly, and the row's
+  // goldens pin the reference and 1/2/4/8 shards, shedding off and on.
   RunDifferential(Ds1Config(
       "LiteralFilter/any/hash",
       ParseOrDie("PATTERN SEQ(A a, B b, C c) "

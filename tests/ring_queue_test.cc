@@ -1,9 +1,9 @@
 // Copyright (c) the CepShed authors. Licensed under the Apache License 2.0.
 //
 // Tests of the bounded ring queue behind the sharded runtime: FIFO
-// semantics, capacity/fullness behaviour, close-and-drain, and
-// producer/consumer stress in the SPSC shape the runtime uses plus the
-// MPMC shape the Vyukov slot-sequencing supports.
+// semantics, capacity/fullness behaviour, close-and-drain, the batch
+// push/pop operations, and producer/consumer stress in the SPSC shape the
+// runtime uses plus the MPMC shape the Vyukov slot-sequencing supports.
 
 #include "src/runtime/ring_queue.h"
 
@@ -13,6 +13,7 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -324,6 +325,152 @@ TEST(RingQueueTest, SealDrainStressAtTheCapacityBoundary) {
     }
     EXPECT_EQ(consumed.size(), total);
   }
+}
+
+// Batch claim/drain operations: one CAS claims a contiguous slot run.
+
+TEST(RingQueueBatchTest, PushPopBasicFifo) {
+  RingQueue<int> q(8);
+  int in[5] = {1, 2, 3, 4, 5};
+  EXPECT_EQ(q.TryPushBatch(in, 5), 5u);
+  int out[8] = {};
+  EXPECT_EQ(q.TryPopBatch(out, 3), 3u);
+  EXPECT_EQ(out[0], 1);
+  EXPECT_EQ(out[1], 2);
+  EXPECT_EQ(out[2], 3);
+  EXPECT_EQ(q.TryPopBatch(out, 8), 2u);
+  EXPECT_EQ(out[0], 4);
+  EXPECT_EQ(out[1], 5);
+  EXPECT_EQ(q.TryPopBatch(out, 8), 0u);
+}
+
+TEST(RingQueueBatchTest, ShortPushWhenFull) {
+  RingQueue<int> q(4);
+  ASSERT_EQ(q.capacity(), 4u);
+  int in[6] = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(q.TryPushBatch(in, 6), 4u);  // prefix lands, caller keeps 4,5
+  EXPECT_EQ(q.TryPushBatch(in + 4, 2), 0u);
+  int out[4] = {};
+  EXPECT_EQ(q.TryPopBatch(out, 2), 2u);
+  EXPECT_EQ(out[0], 0);
+  EXPECT_EQ(q.TryPushBatch(in + 4, 2), 2u);
+  EXPECT_EQ(q.TryPopBatch(out, 4), 4u);
+  EXPECT_EQ(out[0], 2);
+  EXPECT_EQ(out[3], 5);
+}
+
+TEST(RingQueueBatchTest, WrapAroundKeepsFifo) {
+  RingQueue<int> q(8);
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 1000; ++round) {
+    int in[3] = {next_in, next_in + 1, next_in + 2};
+    ASSERT_EQ(q.TryPushBatch(in, 3), 3u);
+    next_in += 3;
+    int out[3] = {};
+    ASSERT_EQ(q.TryPopBatch(out, 3), 3u);
+    for (int v : out) ASSERT_EQ(v, next_out++);
+  }
+}
+
+TEST(RingQueueBatchTest, ClosedQueueRejectsPushAndDrainsPop) {
+  RingQueue<int> q(8);
+  int in[3] = {7, 8, 9};
+  ASSERT_EQ(q.TryPushBatch(in, 3), 3u);
+  q.Close();
+  EXPECT_EQ(q.TryPushBatch(in, 3), 0u);
+  int out[8] = {};
+  EXPECT_EQ(q.PopBatch(out, 8), 3u);  // drains the pre-close backlog
+  EXPECT_EQ(out[2], 9);
+  EXPECT_EQ(q.PopBatch(out, 8), 0u);  // closed and drained
+}
+
+TEST(RingQueueBatchTest, MoveOnlyPayload) {
+  RingQueue<std::unique_ptr<int>> q(4);
+  std::unique_ptr<int> in[2];
+  in[0] = std::make_unique<int>(1);
+  in[1] = std::make_unique<int>(2);
+  ASSERT_EQ(q.TryPushBatch(in, 2), 2u);
+  EXPECT_EQ(in[0], nullptr);  // enqueued elements are moved from
+  std::unique_ptr<int> out[2];
+  ASSERT_EQ(q.TryPopBatch(out, 2), 2u);
+  EXPECT_EQ(*out[0], 1);
+  EXPECT_EQ(*out[1], 2);
+}
+
+TEST(RingQueueBatchTest, SpscStressStaysFifo) {
+  constexpr int kTotal = 100000;
+  RingQueue<int> q(64);
+  std::thread producer([&] {
+    std::mt19937 rng(1);
+    int next = 0;
+    int buf[17];
+    while (next < kTotal) {
+      const int want = std::min<int>(1 + static_cast<int>(rng() % 17),
+                                     kTotal - next);
+      for (int i = 0; i < want; ++i) buf[i] = next + i;
+      size_t sent = 0;
+      while (sent < static_cast<size_t>(want)) {
+        sent += q.TryPushBatch(buf + sent, static_cast<size_t>(want) - sent);
+      }
+      next += want;
+    }
+    q.Close();
+  });
+  std::mt19937 rng(2);
+  int expected = 0;
+  int out[23];
+  for (;;) {
+    const size_t n = q.PopBatch(out, 1 + rng() % 23);
+    if (n == 0) break;
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], expected++);
+  }
+  producer.join();
+  EXPECT_EQ(expected, kTotal);
+}
+
+TEST(RingQueueBatchTest, MpmcStressLosesNothing) {
+  constexpr int kPerProducer = 50000;
+  RingQueue<int> q(32);
+  std::atomic<int> producers_left{2};
+  auto produce = [&](int base) {
+    int buf[11];
+    int next = 0;
+    while (next < kPerProducer) {
+      const int want = std::min(11, kPerProducer - next);
+      for (int i = 0; i < want; ++i) buf[i] = base + next + i;
+      size_t sent = 0;
+      while (sent < static_cast<size_t>(want)) {
+        sent += q.TryPushBatch(buf + sent, static_cast<size_t>(want) - sent);
+      }
+      next += want;
+    }
+    if (producers_left.fetch_sub(1) == 1) q.Close();
+  };
+  std::vector<char> seen(2 * kPerProducer, 0);
+  std::atomic<int> received{0};
+  auto consume = [&] {
+    int out[13];
+    for (;;) {
+      const size_t n = q.PopBatch(out, 13);
+      if (n == 0) return;
+      for (size_t i = 0; i < n; ++i) {
+        const int v = out[i];
+        ASSERT_GE(v, 0);
+        ASSERT_LT(v, 2 * kPerProducer);
+        // Each slot written exactly once: no duplicate deliveries.
+        ASSERT_EQ(seen[static_cast<size_t>(v)]++, 0);
+      }
+      received.fetch_add(static_cast<int>(n));
+    }
+  };
+  std::thread p1(produce, 0), p2(produce, kPerProducer);
+  std::thread c1(consume), c2(consume);
+  p1.join();
+  p2.join();
+  c1.join();
+  c2.join();
+  EXPECT_EQ(received.load(), 2 * kPerProducer);
 }
 
 }  // namespace

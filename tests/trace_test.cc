@@ -186,6 +186,42 @@ TEST(TraceTest, RejectsCorruptionTruncationAndBadMagic) {
     bad[0] = 'X';
     EXPECT_FALSE(write_and_read(bad).ok());
   }
+  {  // first event's attribute count inflated to 2^63 - 1: rejected before
+     // anything is reserved, on a full read and on a prefix read (which
+     // never reaches the checksum)
+    const std::string header_path = TempPath("header.trace");
+    ASSERT_TRUE(WriteTrace(EventStream(&schema), header_path).ok());
+    std::ifstream header(header_path, std::ios::binary | std::ios::ate);
+    size_t pos = static_cast<size_t>(header.tellg());
+    header.close();
+    std::remove(header_path.c_str());
+    for (int field = 0; field < 3; ++field) {  // type, timestamp, seq
+      while ((static_cast<uint8_t>(bytes[pos]) & 0x80) != 0) ++pos;
+      ++pos;
+    }
+    ASSERT_EQ(static_cast<uint8_t>(bytes[pos]) & 0x80, 0);
+    std::string bad = bytes;
+    bad.replace(pos, 1, "\xff\xff\xff\xff\xff\xff\xff\xff\x7f", 9);
+    for (const Status& status :
+         {write_and_read(bad).status(), ReadTrace(path, 50).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kParseError);
+      EXPECT_NE(status.message().find("exceeds the bytes left"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
+  {  // first type name's length at 2^64 - 1 (byte 32: after the magic, the
+     // flags, count and checksum fields and the type count) is rejected
+     // right after its 10-byte varint, instead of wrapping the bounds check
+     // and stepping the cursor backwards
+    std::string bad = bytes;
+    ASSERT_EQ(static_cast<uint8_t>(bad[32]) & 0x80, 0);
+    bad.replace(32, 1, "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", 10);
+    const Status status = write_and_read(bad).status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+    EXPECT_NE(status.message().find("truncated at byte 42"), std::string::npos)
+        << status.ToString();
+  }
   std::remove(path.c_str());
 }
 

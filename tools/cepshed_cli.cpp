@@ -604,36 +604,28 @@ Status Run(const CliArgs& args) {
     std::printf("recorded %zu events to %s\n", input.size(), args.record_trace.c_str());
   }
 
+  const size_t pm_stride = args.pm_series ? std::max<size_t>(1, input.size() / 50) : 0;
+  const auto print_pm_series = [](const RunResult& run) {
+    for (size_t i = 0; i < run.pm_series.size(); ++i) {
+      std::printf("pm-series,%zu,%zu\n", i * run.pm_series_stride, run.pm_series[i]);
+    }
+  };
+
   if (args.strategy == "none" && args.shedder.empty()) {
     CEPSHED_ASSIGN_OR_RETURN(auto nfa, Nfa::Compile(query, &schema));
     Engine engine(nfa, EngineOptions{});
-    obs::ShardObs* obs = nullptr;
+    NoShedder none;
+    ShedRunner runner(&engine, &none, LatencyMonitor::Options{});
     if (exporter != nullptr) {
       metrics.EnsureShards(1);
-      obs = metrics.shard(0);
+      runner.set_obs(metrics.shard(0));
     }
-    std::vector<Match> matches;
-    size_t matches_seen = 0;
-    const size_t stride = args.pm_series ? std::max<size_t>(1, input.size() / 50) : 0;
-    for (size_t i = 0; i < input.size(); ++i) {
-      const double cost = engine.Process(input[i], &matches);
-      if (obs != nullptr) {
-        obs->events_routed.Add();
-        obs->events_processed.Add();
-        obs->event_cost.Record(cost);
-        if (matches.size() != matches_seen) {
-          obs->matches_emitted.Add(matches.size() - matches_seen);
-          matches_seen = matches.size();
-        }
-      }
-      if (stride > 0 && i % stride == 0) {
-        std::printf("pm-series,%zu,%zu\n", i, engine.NumPartialMatches());
-      }
-    }
-    std::printf("matches: %zu  (peak state: %zu partial matches)\n", matches.size(),
-                engine.stats().peak_pms);
+    const RunResult run = runner.Run(input, pm_stride);
+    print_pm_series(run);
+    std::printf("matches: %zu  (peak state: %zu partial matches)\n", run.matches.size(),
+                run.engine_stats.peak_pms);
     if (!args.matches_path.empty()) {
-      CEPSHED_RETURN_NOT_OK(WriteMatches(matches, args.matches_path));
+      CEPSHED_RETURN_NOT_OK(WriteMatches(run.matches, args.matches_path));
       std::printf("wrote %s\n", args.matches_path.c_str());
     }
     return finish_metrics();
@@ -676,10 +668,8 @@ Status Run(const CliArgs& args) {
               harness.model().train_seconds(), harness.truth().size(), args.stat.c_str(),
               harness.BaselineLatency(stat));
 
-  CEPSHED_ASSIGN_OR_RETURN(
-      const ExperimentResult r,
-      harness.RunBoundSpec(spec, args.bound, stat,
-                           args.pm_series ? std::max<size_t>(1, input.size() / 50) : 0));
+  CEPSHED_ASSIGN_OR_RETURN(const ExperimentResult r,
+                           harness.RunBoundSpec(spec, args.bound, stat, pm_stride));
   std::printf("strategy %s @ bound %.2f:\n", r.name.c_str(), args.bound);
   std::printf("  recall      %.2f%%\n", 100.0 * r.quality.recall);
   std::printf("  precision   %.2f%%\n", 100.0 * r.quality.precision);
@@ -690,11 +680,7 @@ Status Run(const CliArgs& args) {
   std::printf("  shed        %llu partial matches (%.1f%%)\n",
               static_cast<unsigned long long>(r.raw.shed_pms), 100.0 * r.shed_pm_ratio);
   std::printf("  violations  %.1f%% of bound checks\n", 100.0 * r.bound_violation_ratio);
-  if (args.pm_series) {
-    for (size_t i = 0; i < r.raw.pm_series.size(); ++i) {
-      std::printf("pm-series,%zu,%zu\n", i * r.raw.pm_series_stride, r.raw.pm_series[i]);
-    }
-  }
+  print_pm_series(r.raw);
   if (!args.matches_path.empty()) {
     CEPSHED_RETURN_NOT_OK(WriteMatches(r.raw.matches, args.matches_path));
     std::printf("wrote %s\n", args.matches_path.c_str());
